@@ -4,12 +4,13 @@ DFT-RB+DI).
 Trajectories are decomposed into line segments; each partition holds an
 STR R-tree over segment MBRs. A top-k query first estimates a pruning
 threshold θ: sample ``C·k`` random trajectories, compute exact distances,
-take the k-th smallest (this is why the paper calls DFT's query time
-"unstable" — it depends on sample quality). Then each partition runs a
-range traversal: segments within θ of the query are "near"; a trajectory
-is a candidate iff *all* of its segments are near (valid for Hausdorff /
-Frechet / DTW: every data point must be within distance ≤ the true
-distance of some query point). Candidates are refined exactly.
+take the k-th smallest (``framework.estimate_theta``; this is why the
+paper calls DFT's query time "unstable" — it depends on sample quality).
+Then each partition runs a range traversal: segments within θ of the
+query are "near"; a trajectory is a candidate iff *all* of its segments
+are near (valid for Hausdorff / Frechet / DTW: every data point must be
+within distance ≤ the true distance of some query point; ``Dft`` raises
+for other measures). Candidates are refined exactly.
 
 Space accounting mirrors DFT-RB+DI's documented blow-up: per-segment MBRs
 + a duplicated segment endpoint store (the "regrouping" copy) + the dual
@@ -22,22 +23,24 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.measures import get_measure
 from repro.baselines.rtree import STRtree
-from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
+from repro.core.measures import resolve_measure
+from repro.core.partition import dataset_bounds
+from repro.dist.framework import (
+    DistributedTopK, LocalPack, estimate_theta, sample_trajectories,
+)
 
 _POINT_BYTES = 16
-_C = 5  # partition pruning parameter C (paper §VII-A: C = 5)
+
+#: measures the all-segments-near candidate filter is valid for
+SUPPORTED = frozenset({"hausdorff", "frechet", "dtw"})
 
 
 class DftPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
-        self.measure = cfg["measure"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
+        self.fn = cfg["measure"].fn
         seg_mbrs, seg_tid = [], []
         for tid, pts in trajs:
             a, b = pts[:-1], pts[1:]
@@ -77,14 +80,13 @@ class DftPack(LocalPack):
 
     def search(self, qpts, k, ctx):
         theta = ctx["theta"]
-        fn = get_measure(self.measure, **self.params)
         near = self.tree.query_near(qpts, theta, self.seg_mbrs)
         near_count = np.zeros(len(self.tids), dtype=np.int64)
         for t in self.seg_tid[near]:
             near_count[self.tid_index[int(t)]] += 1
         cand = self.tids[near_count == self.seg_count]
         scored = sorted(
-            ((fn(qpts, self.trajs[int(t)]), int(t)) for t in cand),
+            ((self.fn(qpts, self.trajs[int(t)]), int(t)) for t in cand),
             key=lambda x: (x[0], x[1]),
         )
         return scored[:k]
@@ -110,13 +112,11 @@ class Dft(DistributedTopK):
         seed: int = 0,
         **_,
     ):
-        self.measure = measure
-        self.params = {}
-        if eps is not None:
-            self.params["eps"] = eps
-        if gap is not None:
-            self.params["gap"] = gap
-        cfg = {"measure": measure, "eps": eps, "gap": gap}
+        if measure not in SUPPORTED:
+            raise ValueError(f"DFT's segment filter does not support {measure!r}")
+        bounds = dataset_bounds(traj_df)
+        self.spec = resolve_measure(measure, bounds, eps=eps, gap=gap)
+        cfg = {"measure": self.spec, "bounds": bounds}
         super().__init__(
             spark,
             traj_df,
@@ -128,22 +128,11 @@ class Dft(DistributedTopK):
         )
         # threshold-estimation pool: a uniform sample kept on the driver
         self.pool = sample_trajectories(traj_df, sample_pool, seed=seed)
-        # re-include build of the pool in IT (it is part of DFT's prep)
-        self._fn = get_measure(measure, **self.params)
-
-    def estimate_theta(self, qpts: np.ndarray, k: int, seed: int = 0) -> float:
-        """k-th smallest exact distance among C·k randomly drawn
-        trajectories (the DFT threshold estimator)."""
-        rng = np.random.default_rng(seed)
-        n = min(len(self.pool), _C * k)
-        idx = rng.choice(len(self.pool), size=n, replace=False)
-        dists = sorted(self._fn(qpts, self.pool[i][1]) for i in idx)
-        theta = dists[min(k, n) - 1]
-        return float(theta) * (1.0 + 1e-9) + 1e-12  # strict-< guard
 
     def query(self, qpts, k, *, ctx=None, seed: int = 0):
         t0 = time.perf_counter()
-        theta = self.estimate_theta(np.asarray(qpts, float), k, seed=seed)
-        out = super().query(qpts, k, ctx={"theta": theta})
+        q = np.asarray(qpts, float)
+        theta = estimate_theta(self.pool, self.spec.fn, q, k, seed=seed)
+        out = super().query(q, k, ctx={"theta": theta})
         self.last_query_time = time.perf_counter() - t0
         return out

@@ -12,6 +12,8 @@ import time
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.measures import resolve_measure
+from repro.core.partition import dataset_bounds
 from repro.core.search import brute_force_topk
 from repro.dist.framework import DistributedTopK, LocalPack
 
@@ -20,16 +22,11 @@ class LsPack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = list(trajs)
-        self.measure = cfg["measure"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
+        self.spec = cfg["measure"]
         super().__init__(pid, len(trajs), time.perf_counter() - t0, 0)
 
     def search(self, qpts, k, ctx):
-        return brute_force_topk(
-            self.trajs, qpts, k, measure=self.measure, **self.params
-        )
+        return brute_force_topk(self.trajs, qpts, k, measure=self.spec)
 
 
 class Ls(DistributedTopK):
@@ -49,7 +46,11 @@ class Ls(DistributedTopK):
         gap: tuple[float, float] | None = None,
         **_,
     ):
-        cfg = {"measure": measure, "eps": eps, "gap": gap}
+        bounds = dataset_bounds(traj_df)
+        cfg = {
+            "measure": resolve_measure(measure, bounds, eps=eps, gap=gap),
+            "bounds": bounds,
+        }
         super().__init__(
             spark,
             traj_df,

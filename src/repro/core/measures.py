@@ -1,26 +1,35 @@
-"""Exact trajectory distance kernels (paper §II, §VI).
+"""Exact trajectory distance kernels and the ``Measure`` spec (paper §II, §VI).
 
 All trajectories are ``(n, 2)`` float64 numpy arrays. These kernels are
 shared by REPOSE and all baselines (LS, DFT, DITA) so query-time
 comparisons measure pruning/indexing, not kernel implementations.
 
 Supported measures (paper §I): Hausdorff, Frechet, DTW, ERP, EDR, LCSS.
-Hausdorff/Frechet/ERP are metrics (pivot pruning applies, ``METRICS``);
-Hausdorff is additionally order-independent (``ORDER_INDEPENDENT``), which
-enables the z-value re-arrangement trie optimization (§III-C).
+Everything the rest of the system needs to know about a measure lives in
+its ``Measure`` spec, resolved once per index on the driver by
+``resolve_measure`` and shipped to the workers in the pack config:
+
+* the bound parameters — ERP's gap point, EDR/LCSS's match threshold ε;
+* the exact kernel ``fn`` and the CompLB engine factory (``core.complb``);
+* ``is_metric`` — triangle inequality holds, so the pivot bound ``LB_p``
+  and ``D_max`` apply (§IV-D, §VI; ``METRICS``);
+* ``order_independent`` — invariant to point re-ordering, so the
+  z-value re-arrangement trie optimization is valid (§III-C;
+  ``ORDER_INDEPENDENT``);
+* ``collapse_invariant`` — invariant to collapsing consecutive duplicate
+  points, so HR/``D_max`` may use collapsed reference trajectories.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
-#: measures satisfying the triangle inequality → pivot pruning valid
-METRICS = frozenset({"hausdorff", "frechet", "erp"})
-#: measures invariant to point re-ordering → optimized trie valid
-ORDER_INDEPENDENT = frozenset({"hausdorff"})
-#: all supported measure names
-ALL_MEASURES = ("hausdorff", "frechet", "dtw", "erp", "edr", "lcss")
+from .complb import (
+    DtwEngine, EdrEngine, ErpEngine, FrechetEngine, HausdorffEngine, LcssEngine,
+)
 
 
 def pair_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,24 +176,93 @@ def lcss(a: np.ndarray, b: np.ndarray, eps: float) -> float:
     return float(1.0 - prev[-1] / min(m, n))
 
 
-def get_measure(name: str, **params):
-    """Return ``fn(a, b) -> float`` for a measure name, binding params.
+#: name: (kernel, CompLB engine, metric, order-independent,
+#: collapse-invariant, the parameter the measure takes)
+_KINDS = {
+    "hausdorff": (hausdorff, HausdorffEngine, True, True, True, None),
+    "frechet": (frechet, FrechetEngine, True, False, True, None),
+    "dtw": (dtw, DtwEngine, False, False, False, None),
+    "erp": (erp, ErpEngine, True, False, False, "gap"),
+    "edr": (edr, EdrEngine, False, False, False, "eps"),
+    "lcss": (lcss, LcssEngine, False, False, False, "eps"),
+}
+#: all supported measure names
+ALL_MEASURES = tuple(_KINDS)
+#: measures satisfying the triangle inequality → pivot pruning valid
+METRICS = frozenset(n for n, kind in _KINDS.items() if kind[2])
+#: measures invariant to point re-ordering → optimized trie valid
+ORDER_INDEPENDENT = frozenset(n for n, kind in _KINDS.items() if kind[3])
 
-    ``eps`` (EDR/LCSS) and ``gap`` (ERP) are bound here so every caller
-    (REPOSE, baselines, brute force, tests) shares one parameterization.
+
+@dataclass(frozen=True)
+class Measure:
+    """A measure with its parameters bound; see the module docstring.
+
+    ``fn(a, b) -> float`` is the exact distance; ``engine(qpts, slack)``
+    builds the query's CompLB engine. Both are module-level callables or
+    ``functools.partial``s of them (not lambdas), so a spec survives
+    plain-pickle round trips inside Spark workers. Specs compare by name,
+    flags and parameters.
     """
-    if name == "hausdorff":
-        return hausdorff
-    if name == "frechet":
-        return frechet
-    if name == "dtw":
-        return dtw
-    # functools.partial of module-level functions (not lambdas) so bound
-    # measures survive plain-pickle round trips inside Spark workers
-    if name == "erp":
-        return partial(erp, gap=params.get("gap", (0.0, 0.0)))
-    if name == "edr":
-        return partial(edr, eps=params["eps"])
-    if name == "lcss":
-        return partial(lcss, eps=params["eps"])
-    raise ValueError(f"unknown measure {name!r}")
+
+    name: str
+    fn: Callable = field(compare=False, repr=False)
+    engine: Callable = field(compare=False, repr=False)
+    is_metric: bool
+    order_independent: bool
+    collapse_invariant: bool
+    eps: float | None = None
+    gap: tuple[float, float] | None = None
+
+    @property
+    def params(self) -> dict:
+        """The bound parameters as keywords of ``get_measure``."""
+        return {
+            k: v for k, v in (("eps", self.eps), ("gap", self.gap)) if v is not None
+        }
+
+
+def resolve_measure(
+    name: str,
+    bounds: tuple[float, float, float, float] | None = None,
+    *,
+    eps: float | None = None,
+    gap: tuple[float, float] | None = None,
+) -> Measure:
+    """Resolve a measure name and its parameters into a ``Measure``.
+
+    Without ``gap``, ERP's gap point is the centre of the dataset
+    ``bounds`` ``(minx, miny, maxx, maxy)``, or the origin when no bounds
+    are given. EDR and LCSS need ``eps``. A parameter the measure does
+    not take is ignored.
+    """
+    if name not in _KINDS:
+        raise ValueError(f"unknown measure {name!r}")
+    kernel, engine, metric, order_free, collapse, takes = _KINDS[name]
+    eps = eps if takes == "eps" else None
+    gap = gap if takes == "gap" else None
+    if takes == "eps" and eps is None:
+        raise ValueError(f"measure {name!r} needs eps")
+    if takes == "gap" and gap is None:
+        gap = (0.0, 0.0) if bounds is None else (
+            (bounds[0] + bounds[2]) / 2.0,
+            (bounds[1] + bounds[3]) / 2.0,
+        )
+    if takes:
+        kw = {takes: eps if takes == "eps" else gap}
+        kernel, engine = partial(kernel, **kw), partial(engine, **kw)
+    return Measure(name, kernel, engine, metric, order_free, collapse, eps, gap)
+
+
+def as_measure(measure: Measure | str, **params) -> Measure:
+    """``measure`` itself if it is a spec, else the name resolved with
+    ``params`` (``eps``/``gap``) and no dataset bounds."""
+    if isinstance(measure, Measure):
+        return measure
+    return resolve_measure(measure, **params)
+
+
+def get_measure(name: str, **params) -> Callable:
+    """Return ``fn(a, b) -> float`` for a measure name, binding params
+    (``eps`` for EDR/LCSS, ``gap`` for ERP)."""
+    return resolve_measure(name, **params).fn

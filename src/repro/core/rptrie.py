@@ -18,19 +18,12 @@ trajectories to the node's reference trajectory).
 """
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .zorder import Grid, ref_points, ref_trajectory
-
-# Tries are as deep as the longest trajectory (≤1000 after the paper's
-# preprocessing); (cloud)pickling the linked Node structure inside Spark
-# workers recurses per node, so lift CPython's default 1000-frame limit
-# here — this module is imported by every worker that touches a trie.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
 class Leaf:
@@ -195,41 +188,47 @@ class RPTrie:
         _update_hr(node.leaf.hr, pd)
 
     # -- greedy hitting-set construction (Appendix B) -------------------
-    def _build_greedy(self, parent: Node, items: list) -> None:
-        """Recursively partition ``items`` (tid, remaining z-set, pd, dmax).
+    def _build_greedy(self, root: Node, items: list) -> None:
+        """Partition ``items`` (tid, remaining z-set, pd, dmax) level by level.
 
         Implements the appendix bookkeeping: count C(Z) once, pick the
-        most frequent z, split off Z^z (counting C(Z^z) for the recursive
-        call), and obtain the remaining counts as C(Z) − C(Z^z).
+        most frequent z, split off Z^z (counting C(Z^z) for the child's
+        turn), and obtain the remaining counts as C(Z) − C(Z^z). Each
+        child's turn is independent of its siblings', so pending
+        (node, items) pairs sit on an explicit stack: a trie is as deep
+        as its longest trajectory, beyond CPython's recursion limit.
         """
-        remaining = []
-        for it in items:
-            if it[1]:
-                remaining.append(it)
-            else:  # complete path consumed → $-leaf at the parent
-                self._attach_leaf(parent, it[0], it[2], it[3])
-        counts = Counter()
-        for _, zset, _, _ in remaining:
-            counts.update(zset)
-        while remaining:
-            z1, _ = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-            group, rest = [], []
-            sub_counts = Counter()
-            for it in remaining:
-                if z1 in it[1]:
-                    sub_counts.update(it[1])
-                    it[1].discard(z1)
-                    group.append(it)
-                else:
-                    rest.append(it)
-            counts.subtract(sub_counts)  # C(Z) ← C(Z) − C(Z^z1)
-            del counts[z1]
-            child = self._new_node(z1, parent.depth + 1)
-            parent.children[z1] = child
-            for it in group:
-                _update_hr(child.hr, it[2])
-            self._build_greedy(child, group)
-            remaining = rest
+        stack = [(root, items)]
+        while stack:
+            parent, items = stack.pop()
+            remaining = []
+            for it in items:
+                if it[1]:
+                    remaining.append(it)
+                else:  # complete path consumed → $-leaf at the parent
+                    self._attach_leaf(parent, it[0], it[2], it[3])
+            counts = Counter()
+            for _, zset, _, _ in remaining:
+                counts.update(zset)
+            while remaining:
+                z1, _ = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
+                group, rest = [], []
+                sub_counts = Counter()
+                for it in remaining:
+                    if z1 in it[1]:
+                        sub_counts.update(it[1])
+                        it[1].discard(z1)
+                        group.append(it)
+                    else:
+                        rest.append(it)
+                counts.subtract(sub_counts)  # C(Z) ← C(Z) − C(Z^z1)
+                del counts[z1]
+                child = self._new_node(z1, parent.depth + 1)
+                parent.children[z1] = child
+                for it in group:
+                    _update_hr(child.hr, it[2])
+                stack.append((child, group))
+                remaining = rest
 
     # -- freeze: child lists, max_suffix, and compressed chains ---------
     def _finalize(self, root: Node) -> None:

@@ -89,18 +89,24 @@ def _encode_leaf(leaf, out: bytearray) -> None:
 
 
 def _encode_subtree(node: Node, blob: bytearray, leaf_blob: bytearray) -> tuple[int, int]:
-    """DFS byte serialization of one lower-level node; returns (nodes, leaves)."""
-    nodes, leaves = 1, 0
-    _varint(node.z, blob)
-    flags = (1 if node.leaf is not None else 0) | (len(node.children) << 1)
-    _varint(flags, blob)
-    if node.leaf is not None:
-        _encode_leaf(node.leaf, leaf_blob)
-        leaves += 1
-    for child in node.children.values():
-        cn, cl = _encode_subtree(child, blob, leaf_blob)
-        nodes += cn
-        leaves += cl
+    """Pre-order byte serialization of one lower-level subtree; returns
+    (nodes, leaves). Iterative: a trie is as deep as its longest
+    trajectory, beyond CPython's recursion limit."""
+    nodes, leaves = 0, 0
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        leaf, children = node.leaf, node.children
+        _varint(node.z, blob)
+        _varint((leaf is not None) | (len(children) << 1), blob)
+        if leaf is not None:
+            _encode_leaf(leaf, leaf_blob)
+            leaves += 1
+        if len(children) == 1:  # the common case in order-preserving tries
+            stack.extend(children.values())
+        elif children:
+            stack.extend(reversed(children.values()))
     return nodes, leaves
 
 

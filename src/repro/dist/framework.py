@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.partition import assign_partitions, dataset_bounds
+from repro.core.partition import assign_partitions
 
 # ---------------------------------------------------------------------------
 # Worker-local deserialized-pack cache.
@@ -96,8 +96,9 @@ class DistributedTopK:
     ----------
     build_fn : ``(pid, [(tid, pts)], config) -> LocalPack`` executed inside
         ``mapPartitions`` on the executors.
-    config : broadcast-style plain dict shipped in the task closure
-        (bounds, grid δ, pivots, measure params, ...).
+    config : broadcast-style plain dict shipped in the task closure; it
+        holds the dataset ``bounds`` and, per system, the resolved
+        ``measure`` spec, grid, pivots, ...
     strategy / key_mode : global partitioning (see ``core.partition``).
     """
 
@@ -110,14 +111,12 @@ class DistributedTopK:
         n_partitions: int = 16,
         strategy: str = "heterogeneous",
         key_mode: str = "traj",
-        config: dict | None = None,
+        config: dict,
     ):
         t0 = time.perf_counter()
         self.spark = spark
         self.n_partitions = n_partitions
-        self.config = dict(config or {})
-        if "bounds" not in self.config:
-            self.config["bounds"] = dataset_bounds(traj_df)
+        self.config = dict(config)
         assigned = assign_partitions(
             traj_df,
             n_partitions,
@@ -197,3 +196,26 @@ def sample_trajectories(
     frac = min(1.0, (3.0 * n) / max(1, total))
     rows = traj_df.sample(fraction=frac, seed=seed).limit(n).collect()
     return _rows_to_trajs([(r.tid, r.xs, r.ys) for r in rows])
+
+
+#: sample size factor C of the sampled threshold (paper §VII-A: C = 5)
+_THETA_C = 5
+
+
+def estimate_theta(pool, fn, qpts: np.ndarray, k: int, seed: int = 0) -> float:
+    """Sampled pruning threshold θ of DFT and DITA: the k-th smallest
+    exact distance from ``qpts`` to ``C·k`` trajectories drawn from
+    ``pool`` (``[(tid, pts)]``, a driver-side sample).
+
+    Any k real trajectories bound the true d_k from above, so θ ≥ d_k
+    whenever k distances were drawn; with fewer (``len(pool) < k``) no
+    finite bound is known and θ is ``inf``. θ is widened by a relative
+    1e-9 (plus 1e-12) so the filters' strict ``<`` comparisons keep
+    trajectories at exactly d_k.
+    """
+    n = min(len(pool), _THETA_C * k)
+    if n < k:
+        return float("inf")
+    idx = np.random.default_rng(seed).choice(len(pool), size=n, replace=False)
+    dists = sorted(fn(qpts, pool[i][1]) for i in idx)
+    return float(dists[k - 1]) * (1.0 + 1e-9) + 1e-12

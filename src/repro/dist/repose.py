@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.measures import METRICS, ORDER_INDEPENDENT, get_measure
+from repro.core.measures import Measure, resolve_measure
+from repro.core.partition import dataset_bounds
 from repro.core.pivots import select_pivots
 from repro.core.rptrie import RPTrie
-from repro.core.search import SearchStats, search_topk
+from repro.core.search import search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
 from repro.dist.framework import DistributedTopK, LocalPack, sample_trajectories
@@ -26,23 +26,13 @@ class ReposePack(LocalPack):
     def __init__(self, pid, trajs, cfg):
         t0 = time.perf_counter()
         self.trajs = dict(trajs)
-        self.measure = cfg["measure"]
-        self.params = {
-            k: v for k, v in cfg.items() if k in ("eps", "gap") and v is not None
-        }
-        fn = get_measure(self.measure, **self.params)
-        pivots = cfg.get("pivots") or []
-        if self.measure not in METRICS:
-            pivots = []
+        self.spec: Measure = cfg["measure"]
         self.trie = RPTrie(
             cfg["grid"],
-            fn,
-            pivots,
-            # Hausdorff/Frechet are invariant to collapsing consecutive
-            # duplicate reference points — HR/D_max DPs run on the
-            # collapsed form (see rptrie.RPTrie)
-            collapse_ref_for_dists=self.measure in ("hausdorff", "frechet"),
-            need_dmax=self.measure in METRICS,
+            self.spec.fn,
+            cfg["pivots"],
+            collapse_ref_for_dists=self.spec.collapse_invariant,
+            need_dmax=self.spec.is_metric,
         )
         self.trie.build(trajs, mode=cfg["trie_mode"])
         n_points = sum(len(p) for p in self.trajs.values())
@@ -50,13 +40,12 @@ class ReposePack(LocalPack):
         super().__init__(pid, len(trajs), time.perf_counter() - t0, idx_bytes)
         self.node_count = self.trie.node_count()
 
+    # the name-and-keywords form `search_topk(measure=..., **params)` takes
+    measure = property(lambda self: self.spec.name)
+    params = property(lambda self: self.spec.params)
+
     def search(self, qpts, k, ctx):
-        stats = SearchStats()
-        res = search_topk(
-            self.trie, self.trajs, qpts, k,
-            measure=self.measure, stats=stats, **self.params,
-        )
-        return res
+        return search_topk(self.trie, self.trajs, qpts, k, measure=self.spec)
 
     def summary(self):
         s = super().summary()
@@ -89,34 +78,20 @@ class Repose(DistributedTopK):
         pivot_pool: int = 100,
         seed: int = 0,
     ):
-        from repro.core.partition import dataset_bounds
-
         bounds = dataset_bounds(traj_df)
         grid = Grid.from_bounds(*bounds, delta=delta)
-        if measure == "erp" and gap is None:
-            gap = (
-                (bounds[0] + bounds[2]) / 2.0,
-                (bounds[1] + bounds[3]) / 2.0,
-            )
-        params = {}
-        if eps is not None:
-            params["eps"] = eps
-        if gap is not None:
-            params["gap"] = gap
-        fn = get_measure(measure, **params)
+        spec = resolve_measure(measure, bounds, eps=eps, gap=gap)
         pivots = []
-        if measure in METRICS and n_pivots > 0:
+        if spec.is_metric and n_pivots > 0:
             pool = sample_trajectories(traj_df, pivot_pool, seed=seed)
-            pivots = select_pivots([p for _, p in pool], n_pivots, fn, seed=seed)
+            pivots = select_pivots([p for _, p in pool], n_pivots, spec.fn, seed=seed)
         if trie_mode is None:
-            trie_mode = "opt" if measure in ORDER_INDEPENDENT else "basic"
+            trie_mode = "opt" if spec.order_independent else "basic"
         cfg = {
-            "measure": measure,
+            "measure": spec,
             "grid": grid,
             "trie_mode": trie_mode,
             "pivots": pivots,
-            "eps": eps,
-            "gap": gap,
             "bounds": bounds,
         }
         super().__init__(

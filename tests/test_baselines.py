@@ -9,7 +9,9 @@ import pytest
 from repro.baselines.dft import Dft, DftPack
 from repro.baselines.dita import Dita, representative
 from repro.baselines.ls import Ls
+from repro.core.measures import resolve_measure
 from repro.core.search import brute_force_topk
+from repro.dist.framework import estimate_theta
 from tests.util import topk_dists_equal
 
 NP = 4
@@ -57,9 +59,26 @@ def test_dft_theta_upper_bounds_dk(dft_hausdorff, tdrive_trajs, tdrive_queries):
     """θ = k-th smallest of a random subset ≥ the true k-th distance."""
     _, q = tdrive_queries[0]
     k = 5
-    theta = dft_hausdorff.estimate_theta(q, k)
+    theta = estimate_theta(dft_hausdorff.pool, dft_hausdorff.spec.fn, q, k)
     exp = brute_force_topk(tdrive_trajs, q, k, measure="hausdorff")
     assert theta >= exp[-1][0]
+
+
+def test_theta_is_inf_when_pool_smaller_than_k():
+    """Fewer than k sampled distances bound nothing: the max of 3 pool
+    members sitting on the query is far below the true d_k for k = 5."""
+    q = np.array([[0.0, 0.0], [1.0, 1.0]])
+    pool = [(i, q + 1e-3 * i) for i in range(3)]
+    fn = resolve_measure("hausdorff").fn
+    assert estimate_theta(pool, fn, q, 5) == np.inf
+    assert estimate_theta(pool, fn, q, 3) < 1.0
+
+
+@pytest.mark.parametrize("measure", ["lcss", "edr", "erp"])
+def test_dft_rejects_unsupported_measures(spark, tdrive_smoke, measure):
+    """The all-segments-near filter is only valid for Hausdorff/Frechet/DTW."""
+    with pytest.raises(ValueError):
+        Dft(spark, tdrive_smoke, measure=measure, n_partitions=NP, eps=0.5)
 
 
 def test_dft_heterogeneous_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queries):
@@ -81,7 +100,7 @@ def test_dft_index_bigger_than_raw(dft_hausdorff, tdrive_trajs):
 
 
 def test_dftpack_segment_bookkeeping(tdrive_trajs):
-    pack = DftPack(0, tdrive_trajs[:20], {"measure": "hausdorff"})
+    pack = DftPack(0, tdrive_trajs[:20], {"measure": resolve_measure("hausdorff")})
     n_pts = sum(len(p) for _, p in tdrive_trajs[:20])
     assert len(pack.seg_mbrs) == n_pts - 20  # n-1 segments per trajectory
     assert pack.seg_count.sum() == len(pack.seg_mbrs)
@@ -154,7 +173,7 @@ def test_dita_global_pruning_skips_far_partitions(spark):
     dita = Dita(spark, df, measure="frechet", n_partitions=4, sample_pool=48)
     q = trajs[30][1]  # a group-2 trajectory
     k = 3
-    theta = dita.estimate_theta(q, k)
+    theta = estimate_theta(dita.pool, dita.spec.fn, q, k)
     skip = [
         s["pid"]
         for s in dita.summaries

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.measures import METRICS, get_measure, pair_dists
+from repro.core.measures import METRICS, get_measure, pair_dists, resolve_measure
 from repro.core.rptrie import RPTrie
-from repro.core.search import _pivot_lbs, make_engine
+from repro.core.search import _pivot_lbs
 from repro.core.zorder import Grid, points_to_rect_dist
 from tests.util import ALL, MEASURE_PARAMS, rnd_dataset, rnd_query
 
@@ -52,7 +52,7 @@ def walk(trie, measure, qpts, tid):
     """Replay the engine along tid's path one node at a time (chains of
     length 1 — `advance` is sequential, so this equals chained calls)."""
     kw = MEASURE_PARAMS[measure]
-    engine = make_engine(measure, qpts, GRID.half_diag, **kw)
+    engine = resolve_measure(measure, **kw).engine(qpts, GRID.half_diag)
     chain = find_path(trie, tid)
     assert chain, f"tid {tid} not found"
     state = engine.root_state()

@@ -100,14 +100,3 @@ def test_oracle_rejects_wrong_result(spark, points_pdf, tdrive_queries):
         assert_equivalent(
             bogus, HAUSDORFF_TOPK_SQL.format(k=K), pts=points_pdf, qpts=qpdf
         )
-
-
-def test_oracle_tpch_smoke(spark):
-    """Provided TPC-H-lite generators + oracle wire-up still works."""
-    li = synth_data.lineitem(spark, sf=0.001)
-    agg = li.groupBy("l_returnflag").count().withColumnRenamed("count", "n")
-    assert_equivalent(
-        agg,
-        "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag",
-        li=li,
-    )

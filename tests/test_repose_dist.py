@@ -56,7 +56,7 @@ def test_other_measures_exact(spark, tdrive_smoke, tdrive_trajs, tdrive_queries,
     got = rep.query(q, 8)
     exp = brute_force_topk(
         tdrive_trajs, q, 8, measure=measure,
-        eps=kw.get("eps"), gap=rep.config.get("gap"),
+        eps=kw.get("eps"), gap=rep.config["measure"].gap,
     )
     assert topk_dists_equal(got, exp)
     rep.unpersist()
@@ -152,5 +152,5 @@ def test_erp_default_gap_is_region_center(spark, tdrive_smoke):
         spark, tdrive_smoke, measure="erp", delta=DELTA, n_partitions=NP
     )
     minx, miny, maxx, maxy = rep.config["bounds"]
-    assert rep.config["gap"] == ((minx + maxx) / 2, (miny + maxy) / 2)
+    assert rep.config["measure"].gap == ((minx + maxx) / 2, (miny + maxy) / 2)
     rep.unpersist()

@@ -3,11 +3,14 @@ $-prefix rule, and the greedy hitting-set arrangement including the
 paper's Appendix Example 3 (Table X → Fig. 10) node-for-node."""
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.measures import get_measure
 from repro.core.rptrie import RPTrie, dedup_first_occurrence
+from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid, ref_points, ref_trajectory
 from tests.util import rnd_dataset, rnd_query
 
@@ -275,3 +278,23 @@ def test_example3_hitting_set_property():
             walk(c, path + [z])
 
     walk(trie.root, [])
+
+
+@pytest.mark.parametrize("mode", ["basic", "opt"])
+def test_deep_trie_builds_and_encodes_at_default_recursion_limit(mode):
+    """A 1,500-point trajectory through 1,500 distinct cells makes a trie
+    1,500 levels deep; neither the greedy build nor the succinct encoding
+    may recurse per level."""
+    grid = Grid.from_bounds(0, 0, 1500, 1500, delta=1.0)
+    t = np.arange(1500) + 0.5
+    data = [(0, np.column_stack([t, t])), (1, np.column_stack([t, t[::-1]]))]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        trie = RPTrie(grid, get_measure("hausdorff"), need_dmax=False)
+        trie.build(data, mode=mode)
+        size = trie_size_bytes(trie)
+    finally:
+        sys.setrecursionlimit(old)
+    assert max(n.depth for n in trie.iter_nodes()) == 1500
+    assert size > 0
