@@ -72,6 +72,43 @@ def _key_udf(bounds: tuple[float, float, float, float], bits: int, key_mode: str
     return key
 
 
+def _cluster_counts(
+    traj_df: DataFrame,
+    bounds: tuple[float, float, float, float],
+    key_mode: str,
+    max_bits: int,
+):
+    """Key columns at every trial granularity plus one multi-aggregate
+    job: the distinct key count per granularity (``c<bits>``) and the
+    row count (``n``). Returns ``(keyed df, trials, counts row)``."""
+    trials = list(range(max_bits, 0, -2))
+    keyed = traj_df
+    for bits in trials:
+        keyed = keyed.withColumn(
+            f"_k{bits}", _key_udf(bounds, bits, key_mode)("xs", "ys")
+        )
+    keyed = keyed.cache()
+    counts = keyed.select(
+        F.count(F.lit(1)).alias("n"),
+        *[F.count_distinct(f"_k{bits}").alias(f"c{bits}") for bits in trials],
+    ).first()
+    return keyed, trials, counts
+
+
+def _pick_granularity(keyed, trials, counts, target_clusters):
+    """§V-B: the finest granularity with ≤ ``target_clusters`` clusters."""
+    target_clusters = max(1, target_clusters)
+    chosen_bits, n_clusters = trials[-1], counts[f"c{trials[-1]}"]
+    for bits in trials:
+        if counts[f"c{bits}"] <= target_clusters:
+            chosen_bits, n_clusters = bits, counts[f"c{bits}"]
+            break
+    out = keyed.withColumn("cluster", F.col(f"_k{chosen_bits}")).drop(
+        *[f"_k{bits}" for bits in trials]
+    )
+    return out, chosen_bits, n_clusters
+
+
 def cluster_trajectories(
     traj_df: DataFrame,
     target_clusters: int,
@@ -87,27 +124,9 @@ def cluster_trajectories(
     space granularity until the cluster count first drops to the target.
     """
     bounds = bounds or dataset_bounds(traj_df)
-    target_clusters = max(1, target_clusters)
-    trials = list(range(max_bits, 0, -2))
-    # one pass: key columns at every granularity + one multi-aggregate job
-    keyed = traj_df
-    for bits in trials:
-        keyed = keyed.withColumn(
-            f"_k{bits}", _key_udf(bounds, bits, key_mode)("xs", "ys")
-        )
-    keyed = keyed.cache()
-    counts = keyed.select(
-        *[F.count_distinct(f"_k{bits}").alias(f"c{bits}") for bits in trials]
-    ).first()
-    chosen_bits, n_clusters = trials[-1], counts[f"c{trials[-1]}"]
-    for bits in trials:
-        if counts[f"c{bits}"] <= target_clusters:
-            chosen_bits, n_clusters = bits, counts[f"c{bits}"]
-            break
-    out = keyed.withColumn("cluster", F.col(f"_k{chosen_bits}")).drop(
-        *[f"_k{bits}" for bits in trials]
+    return _pick_granularity(
+        *_cluster_counts(traj_df, bounds, key_mode, max_bits), target_clusters
     )
-    return out, chosen_bits, n_clusters
 
 
 def assign_partitions(
@@ -123,17 +142,19 @@ def assign_partitions(
         return traj_df.withColumn(
             "pid", F.pmod(F.xxhash64("tid"), F.lit(n_partitions)).cast("int")
         )
-    n = traj_df.count()
-    target = max(n_partitions, n // n_partitions)
-    clustered, _, _ = cluster_trajectories(
-        traj_df, target, bounds=bounds, key_mode=key_mode
+    if strategy not in ("heterogeneous", "homogeneous"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    bounds = bounds or dataset_bounds(traj_df)
+    # the row count rides on the clustering's multi-aggregate job
+    keyed, trials, counts = _cluster_counts(traj_df, bounds, key_mode, MAX_BITS)
+    n = counts["n"]
+    clustered, _, _ = _pick_granularity(
+        keyed, trials, counts, max(n_partitions, n // n_partitions)
     )
     w = Window.orderBy("cluster", "tid")
     ranked = clustered.withColumn("rn", F.row_number().over(w) - 1)
     if strategy == "heterogeneous":
         pid = F.col("rn") % n_partitions  # round-robin over sorted clusters
-    elif strategy == "homogeneous":
-        pid = F.floor(F.col("rn") * n_partitions / F.lit(n))  # contiguous chunks
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        pid = F.floor(F.col("rn") * n_partitions / F.lit(n))  # contiguous chunks
     return ranked.withColumn("pid", pid.cast("int")).drop("rn", "cluster")

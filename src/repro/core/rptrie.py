@@ -31,58 +31,53 @@ class Leaf:
 
     __slots__ = ("tids", "dmax", "hr")
 
-    def __init__(self, n_pivots: int):
+    def __init__(self):
         self.tids: list[int] = []
         self.dmax: float = 0.0
-        self.hr: np.ndarray | None = (
-            _empty_hr(n_pivots) if n_pivots else None
-        )
+        self.hr: np.ndarray | None = None  # filled by RPTrie._finalize
 
 
 class Node:
     """Internal trie node labelled with a z-value.
 
     ``chain_*`` attributes implement path compression for the search:
-    a child node carries the reference points / cell rects of the maximal
-    single-child, leaf-free run it starts, and ``chain_end`` is the run's
-    last node (the next branch/leaf point). Interior chain nodes share
-    the same subtree, hence the same HR, so bounds are unaffected.
+    a child node carries the z-values, reference points and cell rects
+    of the maximal single-child, leaf-free run it starts, and
+    ``chain_end`` is the run's last node (the next branch/leaf point).
+    Interior chain nodes share the same subtree, hence the same HR, so
+    bounds are unaffected.
     """
 
     __slots__ = (
         "z", "children", "leaf", "hr", "refpoint", "rect",
-        "depth", "max_suffix",
-        "child_nodes", "chain_refpts", "chain_rects", "chain_end",
+        "depth", "max_suffix", "child_nodes",
+        "chain_zs", "chain_refpts", "chain_rects", "chain_end",
     )
 
-    def __init__(self, z: int, n_pivots: int, depth: int):
+    def __init__(self, z: int, depth: int):
         self.z = z
         self.children: dict[int, Node] = {}
         self.leaf: Leaf | None = None
-        self.hr: np.ndarray | None = _empty_hr(n_pivots) if n_pivots else None
-        self.refpoint: np.ndarray | None = None
-        self.rect: np.ndarray | None = None
         self.depth = depth
         self.max_suffix = 0
-        # frozen traversal structure (filled by RPTrie._finalize)
+        # frozen geometry, HR and traversal structure (RPTrie._finalize)
+        self.hr: np.ndarray | None = None
+        self.refpoint: np.ndarray | None = None
+        self.rect: np.ndarray | None = None
         self.child_nodes: list[Node] | None = None
+        self.chain_zs: np.ndarray | None = None
         self.chain_refpts: np.ndarray | None = None
         self.chain_rects: np.ndarray | None = None
         self.chain_end: "Node | None" = None
 
 
-def _empty_hr(n_pivots: int) -> np.ndarray:
-    hr = np.empty((n_pivots, 2), dtype=float)
-    hr[:, 0] = np.inf
-    hr[:, 1] = -np.inf
-    return hr
-
-
-def _update_hr(hr: np.ndarray | None, pd: np.ndarray | None) -> None:
-    if hr is None or pd is None:
-        return
-    np.minimum(hr[:, 0], pd, out=hr[:, 0])
-    np.maximum(hr[:, 1], pd, out=hr[:, 1])
+def _batched(f: Callable, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """``[f(a) for a in arrays]`` for an element-wise ``f``, in one call."""
+    if not arrays:
+        return []
+    out = f(np.concatenate(arrays))
+    ends = np.cumsum([len(a) for a in arrays]).tolist()
+    return [out[e - len(a):e] for a, e in zip(arrays, ends)]
 
 
 def dedup_first_occurrence(zs: np.ndarray) -> np.ndarray:
@@ -116,7 +111,7 @@ class RPTrie:
         self.fn = fn
         self.pivots = list(pivots)
         self.n_pivots = len(self.pivots)
-        self.root = Node(-1, self.n_pivots, depth=0)
+        self.root = Node(-1, depth=0)
         self.pivot_slack = 0.0  # max leaf D_max — slack for the HR bound
         self.n_trajs = 0
         # HR/D_max distances may run on the consecutive-duplicate-collapsed
@@ -130,66 +125,80 @@ class RPTrie:
 
     # ------------------------------------------------------------------
     def build(self, trajs: Sequence[tuple[int, np.ndarray]], mode: str = "basic") -> None:
-        """Insert trajectories ``(tid, (n,2) points)``; then freeze."""
+        """Insert trajectories ``(tid, (n,2) points)``; then freeze.
+
+        Insertion only shapes the trie. It records which trajectories
+        pass through each node and leaf as (owner, item) pairs; the
+        freeze pass turns those into HR arrays and fills every node's
+        geometry in whole-trie array operations.
+        """
         if mode not in ("basic", "dedup", "opt"):
             raise ValueError(f"unknown trie mode {mode!r}")
-        items = []
-        for tid, pts in trajs:
-            zs = ref_trajectory(self.grid, pts)
-            if mode != "basic":
-                zs = dedup_first_occurrence(zs)
-            zd = zs
-            if self.collapse_ref_for_dists and len(zs) > 1:
-                zd = zs[np.concatenate([[True], zs[1:] != zs[:-1]])]
-            rp = ref_points(self.grid, zd)
-            pd = (
-                np.array([self.fn(p, rp) for p in self.pivots], dtype=float)
-                if self.n_pivots
-                else None
-            )
-            dmax = float(self.fn(pts, rp)) if self.need_dmax else 0.0
-            items.append((tid, zs, pd, dmax))
-            self.pivot_slack = max(self.pivot_slack, dmax)
-        self.n_trajs = len(items)
+        trajs = list(trajs)
+        n = self.n_trajs = len(trajs)
+        zss = _batched(
+            lambda p: ref_trajectory(self.grid, p), [pts for _, pts in trajs]
+        )
+        if mode != "basic":
+            zss = [dedup_first_occurrence(zs) for zs in zss]
+        pd = np.empty((n, self.n_pivots))
+        dmaxs = [0.0] * n
+        if self.n_pivots or self.need_dmax:
+            zds = zss
+            if self.collapse_ref_for_dists:
+                zds = [
+                    zs[np.concatenate([[True], zs[1:] != zs[:-1]])]
+                    if len(zs) > 1 else zs
+                    for zs in zds
+                ]
+            rps = _batched(lambda z: ref_points(self.grid, z), zds)
+            for i, ((_, pts), rp) in enumerate(zip(trajs, rps)):
+                pd[i] = [self.fn(p, rp) for p in self.pivots]
+                if self.need_dmax:
+                    dmaxs[i] = float(self.fn(pts, rp))
+        self.pivot_slack = max([self.pivot_slack, *dmaxs])
+        # HR bookkeeping: owners[j] (a Node or Leaf) covers trajectory who[j]
+        owners: list = []
+        who: list[int] = []
         if mode == "opt":
-            sets = [(tid, set(zs.tolist()), pd, dmax) for tid, zs, pd, dmax in items]
-            for _, _, pd, _ in sets:
-                _update_hr(self.root.hr, pd)
-            self._build_greedy(self.root, sets)
+            sets = [
+                (tid, set(zs.tolist()), i, dmaxs[i])
+                for i, ((tid, _), zs) in enumerate(zip(trajs, zss))
+            ]
+            self._build_greedy(self.root, sets, owners, who)
         else:
-            for tid, zs, pd, dmax in items:
-                self._insert_path(tid, zs, pd, dmax)
-        self._finalize(self.root)
+            for i, ((tid, _), zs) in enumerate(zip(trajs, zss)):
+                path = self._insert_path(zs)
+                owners += path
+                owners.append(self._attach_leaf(path[-1], tid, dmaxs[i]))
+                who += [i] * (len(path) + 1)
+        self._finalize(self.root, owners, pd[who])
 
     # -- sequential insertion (basic / dedup) ---------------------------
-    def _insert_path(self, tid: int, zs: np.ndarray, pd, dmax: float) -> None:
+    def _insert_path(self, zs: np.ndarray) -> list[Node]:
+        """Walk/extend the path for ``zs``; return it, root first."""
         node = self.root
-        _update_hr(node.hr, pd)
+        path = [node]
         for z in zs.tolist():
             child = node.children.get(z)
             if child is None:
-                child = self._new_node(z, node.depth + 1)
+                child = Node(z, node.depth + 1)
                 node.children[z] = child
-            _update_hr(child.hr, pd)
+            path.append(child)
             node = child
-        self._attach_leaf(node, tid, pd, dmax)
+        return path
 
-    def _new_node(self, z: int, depth: int) -> Node:
-        n = Node(z, self.n_pivots, depth)
-        n.refpoint = self.grid.refpoints_of_z(np.array([z]))[0]
-        n.rect = self.grid.cell_rects_of_z(np.array([z]))[0]
-        return n
-
-    def _attach_leaf(self, node: Node, tid: int, pd, dmax: float) -> None:
+    @staticmethod
+    def _attach_leaf(node: Node, tid: int, dmax: float) -> Leaf:
         if node.leaf is None:
-            node.leaf = Leaf(self.n_pivots)
+            node.leaf = Leaf()
         node.leaf.tids.append(tid)
         node.leaf.dmax = max(node.leaf.dmax, dmax)
-        _update_hr(node.leaf.hr, pd)
+        return node.leaf
 
     # -- greedy hitting-set construction (Appendix B) -------------------
-    def _build_greedy(self, root: Node, items: list) -> None:
-        """Partition ``items`` (tid, remaining z-set, pd, dmax) level by level.
+    def _build_greedy(self, root: Node, items: list, owners: list, who: list) -> None:
+        """Partition ``items`` (tid, remaining z-set, index, dmax) level by level.
 
         Implements the appendix bookkeeping: count C(Z) once, pick the
         most frequent z, split off Z^z (counting C(Z^z) for the child's
@@ -197,16 +206,21 @@ class RPTrie:
         child's turn is independent of its siblings', so pending
         (node, items) pairs sit on an explicit stack: a trie is as deep
         as its longest trajectory, beyond CPython's recursion limit.
+        Every (node or leaf, item) it places is appended to
+        ``owners`` / ``who`` for the HR pass.
         """
         stack = [(root, items)]
         while stack:
             parent, items = stack.pop()
+            owners += [parent] * len(items)
+            who += [it[2] for it in items]
             remaining = []
             for it in items:
                 if it[1]:
                     remaining.append(it)
                 else:  # complete path consumed → $-leaf at the parent
-                    self._attach_leaf(parent, it[0], it[2], it[3])
+                    owners.append(self._attach_leaf(parent, it[0], it[3]))
+                    who.append(it[2])
             counts = Counter()
             for _, zset, _, _ in remaining:
                 counts.update(zset)
@@ -223,48 +237,71 @@ class RPTrie:
                         rest.append(it)
                 counts.subtract(sub_counts)  # C(Z) ← C(Z) − C(Z^z1)
                 del counts[z1]
-                child = self._new_node(z1, parent.depth + 1)
+                child = Node(z1, parent.depth + 1)
                 parent.children[z1] = child
-                for it in group:
-                    _update_hr(child.hr, it[2])
                 stack.append((child, group))
                 remaining = rest
 
-    # -- freeze: child lists, max_suffix, and compressed chains ---------
-    def _finalize(self, root: Node) -> None:
-        """Iterative post-order pass (trie depth can reach trajectory
-        length ~1000, beyond Python's default recursion limit)."""
-        # 1) child lists + post-order for max_suffix
-        order: list[Node] = []
-        stack = [root]
-        while stack:
-            n = stack.pop()
-            n.child_nodes = list(n.children.values())
-            order.append(n)
-            stack.extend(n.child_nodes)
-        for n in reversed(order):
-            n.max_suffix = (
-                1 + max(c.max_suffix for c in n.child_nodes)
-                if n.child_nodes
-                else 0
-            )
-        # 2) path compression: each child of a *reachable* node starts a
-        # chain running through single-child, leaf-free nodes; the search
-        # jumps straight to chain_end. Only branch/leaf nodes (and the
-        # root) are reachable, so every chain is built exactly once.
+    # -- freeze: chains, max_suffix, geometry and HR --------------------
+    def _finalize(self, root: Node, owners: list, owner_pd: np.ndarray) -> None:
+        """One iterative pass over the trie, then whole-trie array fills.
+
+        The walk lays the nodes out chain by chain, so every chain is a
+        contiguous run of ``nodes``: its z-values, reference points and
+        cell rects are slices of three arrays computed by one
+        ``refpoints_of_z`` / ``cell_rects_of_z`` call. Each chain starts
+        at a child of a *reachable* node (the root, a branch or a leaf
+        node) and runs through single-child, leaf-free nodes; the search
+        jumps straight to ``chain_end``. HR rows are filled by one
+        min/max reduction over the (owner, pivot-distance row) pairs the
+        insertion recorded. The walk is iterative: trie depth can reach
+        trajectory length ~1000, beyond Python's default recursion limit.
+        """
+        nodes: list[Node] = []  # every node but the root, chain by chain
+        chains: list[tuple[Node, int, int]] = []  # (head, start, stop)
+        root.child_nodes = list(root.children.values())
         frontier = [root]
         while frontier:
             n = frontier.pop()
-            for child in n.child_nodes:
-                chain = [child]
-                cur = child
-                while len(cur.child_nodes) == 1 and cur.leaf is None:
+            for cur in n.child_nodes:
+                head, start = cur, len(nodes)
+                while True:
+                    cur.child_nodes = list(cur.children.values())
+                    nodes.append(cur)
+                    if len(cur.child_nodes) != 1 or cur.leaf is not None:
+                        break
                     cur = cur.child_nodes[0]
-                    chain.append(cur)
-                child.chain_refpts = np.stack([c.refpoint for c in chain])
-                child.chain_rects = np.stack([c.rect for c in chain])
-                child.chain_end = cur
+                head.chain_end = cur
+                chains.append((head, start, len(nodes)))
                 frontier.append(cur)
+        every = [root, *nodes]  # a node's children follow it: reversed is post-order
+        for n in reversed(every):
+            if n.child_nodes:
+                n.max_suffix = 1 + max(c.max_suffix for c in n.child_nodes)
+
+        zs = np.fromiter((n.z for n in nodes), dtype=np.int64, count=len(nodes))
+        refpts = self.grid.refpoints_of_z(zs)
+        rects = self.grid.cell_rects_of_z(zs)
+        for n, p, r in zip(nodes, refpts, rects):
+            n.refpoint = p
+            n.rect = r
+        for head, start, stop in chains:
+            head.chain_zs = zs[start:stop]
+            head.chain_refpts = refpts[start:stop]
+            head.chain_rects = rects[start:stop]
+
+        if self.n_pivots:
+            holders = every + [n.leaf for n in every if n.leaf is not None]
+            row = {id(h): r for r, h in enumerate(holders)}
+            rows = np.fromiter(
+                (row[id(o)] for o in owners), dtype=np.intp, count=len(owners)
+            )
+            lo = np.full((len(holders), self.n_pivots), np.inf)
+            hi = np.full((len(holders), self.n_pivots), -np.inf)
+            np.minimum.at(lo, rows, owner_pd)
+            np.maximum.at(hi, rows, owner_pd)
+            for h, hr in zip(holders, np.stack([lo, hi], axis=-1)):
+                h.hr = hr
 
     # -- compact serialization -----------------------------------------
     # Pickling the linked Node graph costs ~700 bytes/node and, because
@@ -294,11 +331,7 @@ class RPTrie:
                 e = len(parents)
                 edge_of[id(end)] = e
                 parents.append(edge_of[id(node)])
-                chain_zs.append(
-                    self.grid.z_of_points(
-                        child.chain_refpts[:, 0], child.chain_refpts[:, 1]
-                    )
-                )
+                chain_zs.append(child.chain_zs)
                 depths.append(end.depth)
                 suffixes.append(end.max_suffix)
                 if self.n_pivots:
@@ -336,7 +369,7 @@ class RPTrie:
             "collapse_ref_for_dists", "need_dmax",
         ):
             setattr(self, k, st[k])
-        self.root = Node(-1, 0, depth=0)
+        self.root = Node(-1, depth=0)
         self.root.hr = st["root_hr"]
         self.root.child_nodes = []
         zs_flat = st["zs_flat"]
@@ -364,6 +397,7 @@ class RPTrie:
             n.depth = int(st["depths"][e])
             n.max_suffix = int(st["suffixes"][e])
             n.child_nodes = []
+            n.chain_zs = zs_flat[lo:hi]
             n.chain_refpts = refpts[lo:hi]
             n.chain_rects = rects[lo:hi]
             n.chain_end = n  # merged head/end: a single search-view node

@@ -3,13 +3,16 @@ $-prefix rule, and the greedy hitting-set arrangement including the
 paper's Appendix Example 3 (Table X → Fig. 10) node-for-node."""
 from __future__ import annotations
 
+import pickle
 import sys
 
 import numpy as np
 import pytest
 
-from repro.core.measures import get_measure
+from repro.core import zorder
+from repro.core.measures import get_measure, resolve_measure
 from repro.core.rptrie import RPTrie, dedup_first_occurrence
+from repro.core.search import search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid, ref_points, ref_trajectory
 from tests.util import rnd_dataset, rnd_query
@@ -298,3 +301,122 @@ def test_deep_trie_builds_and_encodes_at_default_recursion_limit(mode):
         sys.setrecursionlimit(old)
     assert max(n.depth for n in trie.iter_nodes()) == 1500
     assert size > 0
+
+
+# ------------------------------------- freeze pass: whole-trie array fills
+
+#: every valid (mode, measure) pairing: dedup/opt need order independence
+MODE_MEASURES = [
+    ("basic", "hausdorff"), ("dedup", "hausdorff"), ("opt", "hausdorff"),
+    ("basic", "frechet"), ("basic", "dtw"),
+]
+
+
+def build_like_repose(data, mode, measure):
+    """Build as ``ReposePack`` does: pivots, D_max and collapsing per spec."""
+    spec = resolve_measure(measure)
+    pivots = [data[10], data[20], data[30]] if spec.is_metric else []
+    trie = RPTrie(
+        GRID, spec.fn, pivots,
+        collapse_ref_for_dists=spec.collapse_invariant,
+        need_dmax=spec.is_metric,
+    )
+    trie.build(list(data.items()), mode=mode)
+    return trie, spec
+
+
+def pivot_dists(trie, pts, mode):
+    """Pivot distances of one trajectory, computed on their own."""
+    zs = ref_trajectory(GRID, pts)
+    if mode != "basic":
+        zs = dedup_first_occurrence(zs)
+    if trie.collapse_ref_for_dists and len(zs) > 1:
+        zs = zs[np.concatenate([[True], zs[1:] != zs[:-1]])]
+    rp = ref_points(GRID, zs)
+    return np.array([trie.fn(p, rp) for p in trie.pivots])
+
+
+@pytest.mark.parametrize("mode", ["basic", "dedup", "opt"])
+def test_build_decodes_z_values_in_whole_trie_passes(monkeypatch, mode):
+    """Reference points and cell rects are computed per trie, not per
+    node: the number of ``deinterleave`` calls a build makes must not
+    grow with the number of nodes."""
+    calls = []
+    real = zorder.deinterleave
+
+    def counting(z, bits):
+        calls.append(1)
+        return real(z, bits)
+
+    monkeypatch.setattr(zorder, "deinterleave", counting)
+    seen = []
+    for n in (8, 120):
+        data = rnd_dataset(1, n)
+        calls.clear()
+        trie = build(data, mode, pivots=[data[0], data[1]])
+        seen.append((trie.node_count(), len(calls)))
+    (small_nodes, small_calls), (big_nodes, big_calls) = seen
+    assert big_nodes > 3 * small_nodes
+    assert big_calls == small_calls
+
+
+@pytest.mark.parametrize("mode,measure", MODE_MEASURES)
+def test_frozen_chain_geometry_matches_z_values(data, mode, measure):
+    """Each chain's reference points and rects are exactly the grid
+    geometry of the z-values on its nodes, as are each node's own."""
+    trie, _ = build_like_repose(data, mode, measure)
+    frontier = [trie.root]
+    while frontier:
+        n = frontier.pop()
+        for head in n.child_nodes:
+            chain = [head]
+            while chain[-1] is not head.chain_end:
+                chain.append(chain[-1].child_nodes[0])
+            zs = np.array([c.z for c in chain], dtype=np.int64)
+            np.testing.assert_array_equal(head.chain_zs, zs)
+            np.testing.assert_array_equal(head.chain_refpts, GRID.refpoints_of_z(zs))
+            np.testing.assert_array_equal(head.chain_rects, GRID.cell_rects_of_z(zs))
+            for c, p, r in zip(chain, head.chain_refpts, head.chain_rects):
+                np.testing.assert_array_equal(c.refpoint, p)
+                np.testing.assert_array_equal(c.rect, r)
+            frontier.append(head.chain_end)
+
+
+@pytest.mark.parametrize("mode,measure", MODE_MEASURES)
+def test_frozen_hr_equals_min_max_of_pivot_dists_below(data, mode, measure):
+    """Every node's and leaf's HR is exactly (not just within a slack)
+    the per-pivot min and max over the trajectories below it."""
+    trie, spec = build_like_repose(data, mode, measure)
+    nodes = list(trie.iter_nodes())  # pre-order: parents before children
+    if not spec.is_metric:
+        assert all(n.hr is None for n in nodes)
+        assert all(n.leaf.hr is None for n in nodes if n.leaf is not None)
+        return
+    pd = {tid: pivot_dists(trie, pts, mode) for tid, pts in data.items()}
+    below: dict[int, np.ndarray] = {}
+    for n in reversed(nodes):
+        rows = [below[id(c)] for c in n.children.values()]
+        if n.leaf is not None:
+            leaf_rows = np.stack([pd[t] for t in n.leaf.tids])
+            np.testing.assert_array_equal(
+                n.leaf.hr,
+                np.stack([leaf_rows.min(0), leaf_rows.max(0)], axis=-1),
+            )
+            rows.append(leaf_rows)
+        below[id(n)] = np.concatenate(rows)
+        np.testing.assert_array_equal(
+            n.hr, np.stack([below[id(n)].min(0), below[id(n)].max(0)], axis=-1)
+        )
+    assert len(below[id(trie.root)]) == len(data)
+
+
+@pytest.mark.parametrize("mode,measure", MODE_MEASURES)
+def test_pickle_round_trip_gives_same_search_results(data, mode, measure):
+    trie, spec = build_like_repose(data, mode, measure)
+    restored = pickle.loads(pickle.dumps(trie))
+    for seed in range(3):
+        q = rnd_query(seed)
+        for k in (1, 7, len(data) + 3):
+            assert search_topk(restored, data, q, k, measure=spec) == search_topk(
+                trie, data, q, k, measure=spec
+            )
