@@ -12,9 +12,11 @@ Three build modes:
   first over the remaining z-value sets, using the C(Z) − C(Z^z1)
   frequency-difference bookkeeping from the appendix.
 
-Every node carries an ``HR[N_p]`` (min,max) pivot-distance array; every
-leaf carries the trajectory ids and ``D_max`` (max distance from stored
-trajectories to the node's reference trajectory).
+Every node has an ``HR[N_p]`` (min,max) pivot-distance array, one per
+path-compressed chain, whose nodes share it; every leaf carries the
+trajectory ids and ``D_max`` (max distance from stored trajectories to
+the node's reference trajectory). The frozen trie is a set of chain
+arrays, and the search reads one ``Chain`` record per chain.
 """
 from __future__ import annotations
 
@@ -27,48 +29,59 @@ from .zorder import Grid, ref_points, ref_trajectory
 
 
 class Leaf:
-    """$-terminated leaf: trajectory ids + D_max + pivot HR (§III-B)."""
+    """$-terminated leaf: trajectory ids + D_max + pivot HR (§III-B).
+
+    Insertion fills ``tids`` and ``dmax``; the leaves of the frozen chain
+    records also carry the exact ``hr`` (None without pivots).
+    """
 
     __slots__ = ("tids", "dmax", "hr")
 
-    def __init__(self):
-        self.tids: list[int] = []
-        self.dmax: float = 0.0
-        self.hr: np.ndarray | None = None  # filled by RPTrie._finalize
+    def __init__(self, tids=None, dmax: float = 0.0, hr=None):
+        self.tids: list[int] = [] if tids is None else tids
+        self.dmax = dmax
+        self.hr: np.ndarray | None = hr
 
 
 class Node:
-    """Internal trie node labelled with a z-value.
+    """Build-time trie node labelled with a z-value.
 
-    ``chain_*`` attributes implement path compression for the search:
-    a child node carries the z-values, reference points and cell rects
-    of the maximal single-child, leaf-free run it starts, and
-    ``chain_end`` is the run's last node (the next branch/leaf point).
-    Interior chain nodes share the same subtree, hence the same HR, so
-    bounds are unaffected.
+    Insertion, ``RPTrie.iter_nodes`` and the succinct encoder read these
+    nodes; the search reads the frozen ``Chain`` records instead.
     """
 
-    __slots__ = (
-        "z", "children", "leaf", "hr", "refpoint", "rect",
-        "depth", "max_suffix", "child_nodes",
-        "chain_zs", "chain_refpts", "chain_rects", "chain_end",
-    )
+    __slots__ = ("z", "depth", "children", "leaf")
 
     def __init__(self, z: int, depth: int):
         self.z = z
+        self.depth = depth
         self.children: dict[int, Node] = {}
         self.leaf: Leaf | None = None
+
+
+class Chain:
+    """Frozen search record of one path-compressed chain.
+
+    A chain is a maximal run of trie nodes that starts at a child of the
+    root, of a branch or of a leaf node, and goes on through single-child,
+    leaf-free nodes. The record stands for the run's last node:
+    ``depth``, ``max_suffix``, ``children`` (the chains starting below it)
+    and ``leaf`` are that node's; ``refpts`` / ``rects`` hold the geometry
+    of every node on the run. The run's nodes cover the same trajectories,
+    so they share one HR: ``hr`` is the stored float32 (min, max) widened
+    by one ulp, which keeps the pivot bound admissible.
+    """
+
+    __slots__ = ("refpts", "rects", "depth", "max_suffix", "hr", "children", "leaf")
+
+    def __init__(self, refpts, rects, depth: int, max_suffix: int, hr):
+        self.refpts = refpts
+        self.rects = rects
         self.depth = depth
-        self.max_suffix = 0
-        # frozen geometry, HR and traversal structure (RPTrie._finalize)
-        self.hr: np.ndarray | None = None
-        self.refpoint: np.ndarray | None = None
-        self.rect: np.ndarray | None = None
-        self.child_nodes: list[Node] | None = None
-        self.chain_zs: np.ndarray | None = None
-        self.chain_refpts: np.ndarray | None = None
-        self.chain_rects: np.ndarray | None = None
-        self.chain_end: "Node | None" = None
+        self.max_suffix = max_suffix
+        self.hr: np.ndarray | None = hr
+        self.children: list[Chain] = []
+        self.leaf: Leaf | None = None
 
 
 def _batched(f: Callable, arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -129,8 +142,8 @@ class RPTrie:
 
         Insertion only shapes the trie. It records which trajectories
         pass through each node and leaf as (owner, item) pairs; the
-        freeze pass turns those into HR arrays and fills every node's
-        geometry in whole-trie array operations.
+        freeze pass lays the trie out as chain arrays and turns those
+        pairs into HR rows in whole-trie array operations.
         """
         if mode not in ("basic", "dedup", "opt"):
             raise ValueError(f"unknown trie mode {mode!r}")
@@ -172,7 +185,7 @@ class RPTrie:
                 owners += path
                 owners.append(self._attach_leaf(path[-1], tid, dmaxs[i]))
                 who += [i] * (len(path) + 1)
-        self._finalize(self.root, owners, pd[who])
+        self._finalize(owners, pd[who])
 
     # -- sequential insertion (basic / dedup) ---------------------------
     def _insert_path(self, zs: np.ndarray) -> list[Node]:
@@ -242,188 +255,143 @@ class RPTrie:
                 stack.append((child, group))
                 remaining = rest
 
-    # -- freeze: chains, max_suffix, geometry and HR --------------------
-    def _finalize(self, root: Node, owners: list, owner_pd: np.ndarray) -> None:
-        """One iterative pass over the trie, then whole-trie array fills.
+    # -- freeze: the chain arrays and their search records --------------
+    def _finalize(self, owners: list, owner_pd: np.ndarray) -> None:
+        """Lay the trie out once as path-compressed chain arrays.
 
-        The walk lays the nodes out chain by chain, so every chain is a
-        contiguous run of ``nodes``: its z-values, reference points and
-        cell rects are slices of three arrays computed by one
-        ``refpoints_of_z`` / ``cell_rects_of_z`` call. Each chain starts
-        at a child of a *reachable* node (the root, a branch or a leaf
-        node) and runs through single-child, leaf-free nodes; the search
-        jumps straight to ``chain_end``. HR rows are filled by one
-        min/max reduction over the (owner, pivot-distance row) pairs the
-        insertion recorded. The walk is iterative: trie depth can reach
-        trajectory length ~1000, beyond Python's default recursion limit.
+        One iterative walk (trie depth can reach trajectory length ~1000,
+        beyond Python's default recursion limit) visits the chains parents
+        first and records each chain's z-values, length, parent chain (-1:
+        the root) and end depth; ``max_suffix`` follows from the lengths in
+        one reverse pass. HR rows come from one min/max reduction over the
+        (owner, pivot-distance row) pairs the insertion recorded, each node
+        mapped to its chain: a chain's nodes cover the same trajectories.
+        These arrays are the trie's only frozen form. They are what
+        pickles, and ``_link_chains`` builds the search records from them,
+        here and on unpickling.
         """
-        nodes: list[Node] = []  # every node but the root, chain by chain
-        chains: list[tuple[Node, int, int]] = []  # (head, start, stop)
-        root.child_nodes = list(root.children.values())
+        root = self.root
+        zs: list[int] = []
+        lens: list[int] = []
+        parents: list[int] = []
+        depths: list[int] = []
+        ends_with_leaf: list[tuple[int, Leaf]] = []
+        row = {id(root): -1}  # node → index of its chain
         frontier = [root]
         while frontier:
             n = frontier.pop()
-            for cur in n.child_nodes:
-                head, start = cur, len(nodes)
+            for cur in n.children.values():
+                e, start = len(lens), len(zs)
                 while True:
-                    cur.child_nodes = list(cur.children.values())
-                    nodes.append(cur)
-                    if len(cur.child_nodes) != 1 or cur.leaf is not None:
+                    row[id(cur)] = e
+                    zs.append(cur.z)
+                    if len(cur.children) != 1 or cur.leaf is not None:
                         break
-                    cur = cur.child_nodes[0]
-                head.chain_end = cur
-                chains.append((head, start, len(nodes)))
+                    (cur,) = cur.children.values()
+                lens.append(len(zs) - start)
+                parents.append(row[id(n)])
+                depths.append(cur.depth)
+                if cur.leaf is not None:
+                    ends_with_leaf.append((e, cur.leaf))
                 frontier.append(cur)
-        every = [root, *nodes]  # a node's children follow it: reversed is post-order
-        for n in reversed(every):
-            if n.child_nodes:
-                n.max_suffix = 1 + max(c.max_suffix for c in n.child_nodes)
+        n_chains = len(lens)
+        suffixes = [0] * n_chains
+        for e in reversed(range(n_chains)):  # a chain follows its parent
+            p = parents[e]
+            if p >= 0:
+                suffixes[p] = max(suffixes[p], lens[e] + suffixes[e])
 
-        zs = np.fromiter((n.z for n in nodes), dtype=np.int64, count=len(nodes))
-        refpts = self.grid.refpoints_of_z(zs)
-        rects = self.grid.cell_rects_of_z(zs)
-        for n, p, r in zip(nodes, refpts, rects):
-            n.refpoint = p
-            n.rect = r
-        for head, start, stop in chains:
-            head.chain_zs = zs[start:stop]
-            head.chain_refpts = refpts[start:stop]
-            head.chain_rects = rects[start:stop]
-
+        hr = None
         if self.n_pivots:
-            holders = every + [n.leaf for n in every if n.leaf is not None]
-            row = {id(h): r for r, h in enumerate(holders)}
+            # HR rows: the chains, then the leaves, then the root (unread)
+            for j, (_, leaf) in enumerate(ends_with_leaf):
+                row[id(leaf)] = n_chains + j
+            row[id(root)] = n_chains + len(ends_with_leaf)
             rows = np.fromiter(
                 (row[id(o)] for o in owners), dtype=np.intp, count=len(owners)
             )
-            lo = np.full((len(holders), self.n_pivots), np.inf)
-            hi = np.full((len(holders), self.n_pivots), -np.inf)
+            shape = (n_chains + len(ends_with_leaf) + 1, self.n_pivots)
+            lo = np.full(shape, np.inf)
+            hi = np.full(shape, -np.inf)
             np.minimum.at(lo, rows, owner_pd)
             np.maximum.at(hi, rows, owner_pd)
-            for h, hr in zip(holders, np.stack([lo, hi], axis=-1)):
-                h.hr = hr
+            hr = np.stack([lo, hi], axis=-1)
+        self.zs_flat = np.array(zs, dtype=np.int64)
+        self.lens = np.array(lens, dtype=np.int32)
+        self.parents = np.array(parents, dtype=np.int32)
+        self.depths = np.array(depths, dtype=np.int32)
+        self.suffixes = np.array(suffixes, dtype=np.int32)
+        self.hrs = None if hr is None else hr[:n_chains].astype(np.float32)
+        self.leaves = [
+            (e, leaf.tids, leaf.dmax, None if hr is None else hr[n_chains + j])
+            for j, (e, leaf) in enumerate(ends_with_leaf)
+        ]
+        self._link_chains()
+
+    def _link_chains(self) -> None:
+        """Build the search records from the chain arrays.
+
+        ``self.heads`` holds the chains that start at the root's children.
+        Reference points and cell rects come from one ``refpoints_of_z`` /
+        ``cell_rects_of_z`` call; each record's are slices of them.
+        """
+        refpts = self.grid.refpoints_of_z(self.zs_flat)
+        rects = self.grid.cell_rects_of_z(self.zs_flat)
+        hrs = self.hrs
+        if hrs is not None:
+            hrs = np.stack(
+                [np.nextafter(hrs[..., 0], -np.inf), np.nextafter(hrs[..., 1], np.inf)],
+                axis=-1,
+            ).astype(np.float64)
+        chains: list[Chain] = []
+        self.heads: list[Chain] = []
+        stop = 0
+        for e, (n, parent, depth, suffix) in enumerate(
+            zip(
+                self.lens.tolist(), self.parents.tolist(),
+                self.depths.tolist(), self.suffixes.tolist(),
+            )
+        ):
+            start, stop = stop, stop + n
+            c = Chain(
+                refpts[start:stop], rects[start:stop], depth, suffix,
+                None if hrs is None else hrs[e],
+            )
+            chains.append(c)
+            (self.heads if parent < 0 else chains[parent].children).append(c)
+        for e, tids, dmax, hr in self.leaves:
+            chains[e].leaf = Leaf(tids, dmax, hr)
 
     # -- compact serialization -----------------------------------------
     # Pickling the linked Node graph costs ~700 bytes/node and, because
     # PySpark caches RDD elements serialized, both the bytes *and* the
-    # rebuild would be paid per query. The trie therefore pickles as its
-    # path-compressed edge list: one record per chain (flat z-value
-    # array + end-node metadata + HR), which is both small (~60 B/node)
-    # and cheap to restore (~#branch+#leaf Node objects, not #nodes).
-    # The restored trie is a *search-only view*: chain-interior nodes are
-    # not materialized, so node_count()/iter_nodes()/succinct encoding
-    # are only meaningful on the originally built trie (where the IS
-    # metric is computed, before any serialization).
+    # rebuild would be paid per query. The trie therefore pickles only its
+    # chain arrays (~60 B/node) and rebuilds the search records from them:
+    # one Chain per chain, not one object per node. The build graph stays
+    # behind, so a restored trie searches the very records the built one
+    # does and node_count() agrees, while iter_nodes() and the succinct
+    # encoding (the IS metric, computed at build time) need ``root`` and
+    # fail on a restored trie.
+    _STATE = (
+        "grid", "fn", "pivots", "n_pivots", "pivot_slack", "n_trajs",
+        "collapse_ref_for_dists", "need_dmax",
+        "zs_flat", "lens", "parents", "depths", "suffixes", "hrs", "leaves",
+    )
 
     def __getstate__(self):
-        chain_zs: list[np.ndarray] = []
-        parents: list[int] = []
-        depths: list[int] = []
-        suffixes: list[int] = []
-        hrs: list[np.ndarray] = []
-        leaves: list[tuple] = []
-        edge_of: dict[int, int] = {id(self.root): -1}
-        frontier = [self.root]
-        while frontier:
-            node = frontier.pop()
-            for child in node.child_nodes:
-                end = child.chain_end
-                e = len(parents)
-                edge_of[id(end)] = e
-                parents.append(edge_of[id(node)])
-                chain_zs.append(child.chain_zs)
-                depths.append(end.depth)
-                suffixes.append(end.max_suffix)
-                if self.n_pivots:
-                    hrs.append(child.hr)  # == end.hr along a chain
-                if end.leaf is not None:
-                    leaves.append(
-                        (e, end.leaf.tids, end.leaf.dmax, end.leaf.hr)
-                    )
-                frontier.append(end)
-        lens = np.array([len(c) for c in chain_zs], dtype=np.int32)
-        return {
-            "grid": self.grid,
-            "fn": self.fn,
-            "pivots": self.pivots,
-            "n_pivots": self.n_pivots,
-            "pivot_slack": self.pivot_slack,
-            "n_trajs": self.n_trajs,
-            "collapse_ref_for_dists": self.collapse_ref_for_dists,
-            "need_dmax": self.need_dmax,
-            "zs_flat": (
-                np.concatenate(chain_zs) if chain_zs else np.zeros(0, np.int64)
-            ),
-            "lens": lens,
-            "parents": np.asarray(parents, dtype=np.int32),
-            "depths": np.asarray(depths, dtype=np.int32),
-            "suffixes": np.asarray(suffixes, dtype=np.int32),
-            "hrs": np.stack(hrs).astype(np.float32) if hrs else None,
-            "root_hr": self.root.hr,
-            "leaves": leaves,
-        }
+        return {k: getattr(self, k) for k in self._STATE}
 
     def __setstate__(self, st):
-        for k in (
-            "grid", "fn", "pivots", "n_pivots", "pivot_slack", "n_trajs",
-            "collapse_ref_for_dists", "need_dmax",
-        ):
-            setattr(self, k, st[k])
-        self.root = Node(-1, depth=0)
-        self.root.hr = st["root_hr"]
-        self.root.child_nodes = []
-        zs_flat = st["zs_flat"]
-        refpts = self.grid.refpoints_of_z(zs_flat)
-        rects = self.grid.cell_rects_of_z(zs_flat)
-        offs = np.concatenate([[0], np.cumsum(st["lens"])])
-        hrs64 = None
-        if st["hrs"] is not None:
-            # widen the float32-rounded (min,max) by one ulp so the pivot
-            # bound stays admissible after the round trip
-            hrs64 = st["hrs"].astype(np.float64)
-            hrs64[..., 0] = np.nextafter(st["hrs"][..., 0], -np.inf)
-            hrs64[..., 1] = np.nextafter(st["hrs"][..., 1], np.inf)
-        nodes: list[Node] = []
-        parents = st["parents"]
-        for e in range(len(parents)):
-            n = Node.__new__(Node)
-            lo, hi = offs[e], offs[e + 1]
-            n.z = int(zs_flat[hi - 1])
-            n.children = {}
-            n.leaf = None
-            n.hr = hrs64[e] if hrs64 is not None else None
-            n.refpoint = refpts[hi - 1]
-            n.rect = rects[hi - 1]
-            n.depth = int(st["depths"][e])
-            n.max_suffix = int(st["suffixes"][e])
-            n.child_nodes = []
-            n.chain_zs = zs_flat[lo:hi]
-            n.chain_refpts = refpts[lo:hi]
-            n.chain_rects = rects[lo:hi]
-            n.chain_end = n  # merged head/end: a single search-view node
-            nodes.append(n)
-            parent = self.root if parents[e] < 0 else nodes[parents[e]]
-            parent.children[int(zs_flat[lo])] = n
-            parent.child_nodes.append(n)
-        for e, tids, dmax, hr in st["leaves"]:
-            leaf = Leaf.__new__(Leaf)
-            leaf.tids = tids
-            leaf.dmax = dmax
-            leaf.hr = hr
-            nodes[e].leaf = leaf
+        self.__dict__.update(st)
+        self._link_chains()
 
     # -- stats ---------------------------------------------------------
     def node_count(self) -> int:
         """Number of trie nodes, excluding the root (Fig. 7 metric)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            n = stack.pop()
-            count += len(n.children)
-            stack.extend(n.child_nodes or n.children.values())
-        return count
+        return int(self.lens.sum())
 
     def iter_nodes(self):
+        """Pre-order walk of the build graph, root first."""
         stack = [self.root]
         while stack:
             n = stack.pop()

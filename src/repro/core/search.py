@@ -24,7 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from .measures import Measure, as_measure
-from .rptrie import Leaf, Node, RPTrie
+from .pivots import query_pivot_dists
+from .rptrie import Chain, Leaf, RPTrie
 
 
 def _pivot_lbs(dqp: np.ndarray, hr: np.ndarray, slack: float) -> np.ndarray:
@@ -78,11 +79,7 @@ def search_topk(
     engine = spec.engine(qpts, trie.grid.half_diag)
     # LB_p needs the triangle inequality: never apply it to a non-metric
     use_pivots = spec.is_metric and trie.n_pivots > 0
-    dqp = (
-        np.array([fn(qpts, p) for p in trie.pivots], dtype=float)
-        if use_pivots
-        else None
-    )
+    dqp = query_pivot_dists(qpts, trie.pivots, fn) if use_pivots else None
     slack_p = trie.pivot_slack
 
     stats = stats or SearchStats()
@@ -90,7 +87,7 @@ def search_topk(
     counter = 0
     heap: list = []
 
-    def push_chain(child: Node, lb: float, state) -> None:
+    def push_chain(child: Chain, lb: float, state) -> None:
         """Enqueue a (lazy) chain entry; its DP has not been advanced yet."""
         nonlocal counter
         counter += 1
@@ -98,7 +95,7 @@ def search_topk(
         stats.pushed += 1
 
     root_state = engine.root_state()
-    for child in trie.root.child_nodes:
+    for child in trie.heads:
         push_chain(child, 0.0, root_state)
 
     while heap:
@@ -127,39 +124,38 @@ def search_topk(
             if float(_pivot_lbs(dqp, child.hr, slack_p)) >= d_k:
                 continue
         stats.nodes_expanded += 1
-        n_chain = len(child.chain_refpts)
+        n_chain = len(child.refpts)
         hi = min(off + CHAIN_CHUNK, n_chain)
         st = engine.advance(
             state,
-            child.chain_refpts[off:hi],
-            child.chain_rects[off:hi],
+            child.refpts[off:hi],
+            child.rects[off:hi],
             d_k,
         )
         if st is None:
             continue  # monotone bound crossed d_k: subtree pruned
-        end = child.chain_end
         if hi < n_chain:
             # interior of a single-child run: depth/suffix are derivable
-            depth = child.depth + hi - 1
-            clb = engine.node_lb(st, depth, (n_chain - hi) + end.max_suffix)
+            left = n_chain - hi  # nodes of the run still below
+            clb = engine.node_lb(st, child.depth - left, left + child.max_suffix)
             if clb < d_k:
                 counter += 1
                 heapq.heappush(heap, (clb, counter, CHAIN, (child, hi, st)))
                 stats.pushed += 1
             continue
-        clb = engine.node_lb(st, end.depth, end.max_suffix)
+        clb = engine.node_lb(st, child.depth, child.max_suffix)
         if clb >= d_k:
             continue
-        for grand in end.child_nodes:
+        for grand in child.children:
             push_chain(grand, clb, st)
-        if end.leaf is not None:
-            llb = engine.leaf_lb(st, end.leaf, end.depth)
-            if use_pivots and end.leaf.hr is not None:
-                llb = max(llb, float(_pivot_lbs(dqp, end.leaf.hr, slack_p)))
+        if child.leaf is not None:
+            llb = engine.leaf_lb(st, child.leaf, child.depth)
+            if use_pivots and child.leaf.hr is not None:
+                llb = max(llb, float(_pivot_lbs(dqp, child.leaf.hr, slack_p)))
             llb = max(llb, clb)
             if llb < d_k:
                 counter += 1
-                heapq.heappush(heap, (llb, counter, LEAF, end.leaf))
+                heapq.heappush(heap, (llb, counter, LEAF, child.leaf))
                 stats.pushed += 1
 
     return sorted(((-d, t) for d, t in result), key=lambda x: (x[0], x[1]))

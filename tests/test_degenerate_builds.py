@@ -16,7 +16,7 @@ from repro.core.search import brute_force_topk, search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid
 from repro.dist.repose import Repose
-from tests.util import rnd_traj, topk_dists_equal
+from tests.util import MEASURE_PARAMS, rnd_traj, topk_dists_equal
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 
@@ -24,6 +24,7 @@ GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 CASES = [
     ("hausdorff", "basic"), ("hausdorff", "dedup"), ("hausdorff", "opt"),
     ("frechet", "basic"), ("dtw", "basic"),
+    ("erp", "basic"), ("edr", "basic"), ("lcss", "basic"),
 ]
 
 
@@ -59,7 +60,7 @@ def assert_brute_force(got, trajs, q, k, spec):
 @pytest.mark.parametrize("measure,mode", CASES)
 def test_degenerate_build_encodes_pickles_and_searches_exactly(measure, mode, name):
     trajs = DATASETS[name]
-    spec = resolve_measure(measure)
+    spec = resolve_measure(measure, **MEASURE_PARAMS[measure])
     trie = RPTrie(
         GRID, spec.fn, PIVOTS if spec.is_metric else [],
         collapse_ref_for_dists=spec.collapse_invariant,

@@ -16,7 +16,9 @@ from repro.core.measures import METRICS, get_measure, pair_dists, resolve_measur
 from repro.core.rptrie import RPTrie
 from repro.core.search import _pivot_lbs
 from repro.core.zorder import Grid, points_to_rect_dist
-from tests.util import ALL, MEASURE_PARAMS, rnd_dataset, rnd_query
+from tests.util import (
+    ALL, MEASURE_PARAMS, iter_chains, rnd_dataset, rnd_query, subtree_tids,
+)
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 DATA = rnd_dataset(1, 80)
@@ -48,6 +50,19 @@ def find_path(trie, tid):
     return dfs(trie.root, [])
 
 
+def max_suffix(node):
+    """Depth of the subtree below ``node`` (0 for a node without children)."""
+    return max((1 + max_suffix(c) for c in node.children.values()), default=0)
+
+
+def path_refpoints(chain):
+    return GRID.refpoints_of_z(np.array([n.z for n in chain], dtype=np.int64))
+
+
+def path_rects(chain):
+    return GRID.cell_rects_of_z(np.array([n.z for n in chain], dtype=np.int64))
+
+
 def walk(trie, measure, qpts, tid):
     """Replay the engine along tid's path one node at a time (chains of
     length 1 — `advance` is sequential, so this equals chained calls)."""
@@ -58,12 +73,10 @@ def walk(trie, measure, qpts, tid):
     state = engine.root_state()
     node = trie.root
     lbs, states = [], []
-    for nxt in chain:
-        state = engine.advance(
-            state, nxt.refpoint[None, :], nxt.rect[None, :], np.inf
-        )
+    for nxt, refpt, rect in zip(chain, path_refpoints(chain), path_rects(chain)):
+        state = engine.advance(state, refpt[None, :], rect[None, :], np.inf)
         assert state is not None
-        lbs.append(float(engine.node_lb(state, nxt.depth, nxt.max_suffix)))
+        lbs.append(float(engine.node_lb(state, nxt.depth, max_suffix(nxt))))
         states.append(state)
         node = nxt
     leaf_lb = engine.leaf_lb(state, node.leaf, node.depth)
@@ -101,10 +114,6 @@ def test_leaf_lb_at_least_internal_lb(measure):
 
 
 # ------------------------------------------------- CompLB vs batch recompute
-
-def path_refpoints(chain):
-    return np.stack([n.refpoint for n in chain])
-
 
 def test_hausdorff_state_matches_batch():
     """Algorithm 1: incremental (r, c_max) == recomputed from the full
@@ -148,7 +157,7 @@ def test_dtw_state_matches_batch():
     trie = build_trie("dtw")
     _, states, chain, _, _ = walk(trie, "dtw", qpts, 21)
     d = np.stack(
-        [points_to_rect_dist(qpts, n.rect) for n in chain], axis=1
+        [points_to_rect_dist(qpts, r) for r in path_rects(chain)], axis=1
     )
     m, n = d.shape
     f = np.zeros((m, n))
@@ -178,11 +187,11 @@ def test_pivot_lb_admissible(measure):
     qpts = rnd_query(9)
     dqp = np.array([fn(qpts, p) for p in trie.pivots])
     checked = 0
-    for node in trie.iter_nodes():
-        if node.leaf is None:
+    for c in iter_chains(trie):
+        if c.leaf is None:
             continue
-        lbp = float(_pivot_lbs(dqp, node.leaf.hr, trie.pivot_slack))
-        for tid in node.leaf.tids:
+        lbp = float(_pivot_lbs(dqp, c.leaf.hr, trie.pivot_slack))
+        for tid in c.leaf.tids:
             assert lbp <= fn(qpts, DATA[tid]) + 1e-9
             checked += 1
     assert checked == len(DATA)
@@ -193,21 +202,9 @@ def test_pivot_lb_internal_nodes_admissible():
     trie = build_trie("hausdorff")
     qpts = rnd_query(10)
     dqp = np.array([fn(qpts, p) for p in trie.pivots])
-
-    def subtree_tids(node):
-        out, stack = [], [node]
-        while stack:
-            n = stack.pop()
-            if n.leaf is not None:
-                out.extend(n.leaf.tids)
-            stack.extend(n.children.values())
-        return out
-
-    for node in trie.iter_nodes():
-        if node.z < 0 or node.hr is None:
-            continue
-        lbp = float(_pivot_lbs(dqp, node.hr, trie.pivot_slack))
-        for tid in subtree_tids(node):
+    for c in iter_chains(trie):
+        lbp = float(_pivot_lbs(dqp, c.hr, trie.pivot_slack))
+        for tid in subtree_tids(c):
             assert lbp <= fn(qpts, DATA[tid]) + 1e-9
 
 
@@ -219,8 +216,8 @@ def test_pivot_lb_can_prune():
     qpts = rnd_query(11) + 500.0
     dqp = np.array([fn(qpts, p) for p in trie.pivots])
     lbs = [
-        float(_pivot_lbs(dqp, n.leaf.hr, trie.pivot_slack))
-        for n in trie.iter_nodes()
-        if n.leaf is not None
+        float(_pivot_lbs(dqp, c.leaf.hr, trie.pivot_slack))
+        for c in iter_chains(trie)
+        if c.leaf is not None
     ]
     assert max(lbs) > 0

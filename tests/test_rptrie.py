@@ -12,10 +12,13 @@ import pytest
 from repro.core import zorder
 from repro.core.measures import get_measure, resolve_measure
 from repro.core.rptrie import RPTrie, dedup_first_occurrence
-from repro.core.search import search_topk
+from repro.core.search import brute_force_topk, search_topk
 from repro.core.succinct import trie_size_bytes
 from repro.core.zorder import Grid, ref_points, ref_trajectory
-from tests.util import rnd_dataset, rnd_query
+from tests.util import (
+    MEASURE_PARAMS, chain_paths, iter_chains, rnd_dataset, rnd_query,
+    subtree_tids, topk_dists_equal,
+)
 
 GRID = Grid.from_bounds(-5, -5, 15, 15, delta=0.8)
 
@@ -131,32 +134,16 @@ def test_hr_brackets_pivot_distances(data):
     fn = get_measure("hausdorff")
     pivots = [data[10], data[20]]
     trie = build(data, "dedup", pivots=pivots)
-
-    def subtree_tids(node):
-        out = []
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n.leaf is not None:
-                out.extend(n.leaf.tids)
-            stack.extend(n.children.values())
-        return out
-
-    def path_check(node, zs):
-        if node.z >= 0:
-            zs = zs + [node.z]
-        for tid in subtree_tids(node):
+    # a chain record's HR is the HR of every node on its run
+    for c in iter_chains(trie):
+        for tid in subtree_tids(c):
             ref = ref_points(
                 GRID,
                 dedup_first_occurrence(ref_trajectory(GRID, data[tid])),
             )
             for i, pv in enumerate(pivots):
                 d = fn(pv, ref)
-                assert node.hr[i, 0] - 1e-9 <= d <= node.hr[i, 1] + 1e-9
-        for c in node.children.values():
-            path_check(c, zs)
-
-    path_check(trie.root, [])
+                assert c.hr[i, 0] - 1e-9 <= d <= c.hr[i, 1] + 1e-9
 
 
 def test_pivot_slack_covers_all_dmax(data):
@@ -167,6 +154,8 @@ def test_pivot_slack_covers_all_dmax(data):
 
 
 def test_max_suffix(data):
+    """A chain record's depth and max_suffix are its last node's; the
+    values the search derives from them hold on every node of the run."""
     trie = build(data, "basic")
 
     def depth_below(node):
@@ -174,34 +163,34 @@ def test_max_suffix(data):
             return 0
         return 1 + max(depth_below(c) for c in node.children.values())
 
-    for node in trie.iter_nodes():
-        assert node.max_suffix == depth_below(node)
+    for c, path in chain_paths(trie):
+        for i, node in enumerate(path):
+            left = len(path) - 1 - i  # nodes of the run below this one
+            assert node.depth == c.depth - left
+            assert depth_below(node) == left + c.max_suffix
 
 
 def test_chain_compression_frozen(data):
-    """Every reachable child carries a chain ending at a branch or leaf
-    node; chain arrays cover exactly the run of single-child nodes."""
+    """Every child of the root, of a branch or of a leaf node starts a
+    chain record that ends at the next branch or leaf node; its arrays
+    cover exactly that run of single-child nodes, and every node lies on
+    one run."""
     trie = build(data, "basic")
-    frontier = [trie.root]
-    seen = 0
-    while frontier:
-        n = frontier.pop()
-        assert n.child_nodes is not None
-        for child in n.child_nodes:
-            seen += 1
-            L = len(child.chain_refpts)
-            assert child.chain_rects.shape == (L, 4)
-            end = child.chain_end
-            assert len(end.child_nodes) != 1 or end.leaf is not None
-            # replay the chain through the children links
-            cur, hops = child, 1
-            while cur is not end:
-                assert len(cur.child_nodes) == 1 and cur.leaf is None
-                cur = cur.child_nodes[0]
-                hops += 1
-            assert hops == L
-            frontier.append(end)
-    assert seen > 0
+    paths = chain_paths(trie)
+    assert paths
+    for c, path in paths:
+        L = len(path)
+        assert c.refpts.shape == (L, 2) and c.rects.shape == (L, 4)
+        for node in path[:-1]:
+            assert len(node.children) == 1 and node.leaf is None
+        end = path[-1]
+        assert len(end.children) != 1 or end.leaf is not None
+        assert c.depth == end.depth
+        assert (c.leaf is None) == (end.leaf is None)
+        if end.leaf is not None:
+            assert (c.leaf.tids, c.leaf.dmax) == (end.leaf.tids, end.leaf.dmax)
+    np.testing.assert_array_equal(trie.lens, [len(p) for _, p in paths])
+    assert trie.node_count() == len(list(trie.iter_nodes())) - 1
 
 
 # --------------------------------------------- Appendix B, Example 3 / Fig 10
@@ -309,12 +298,13 @@ def test_deep_trie_builds_and_encodes_at_default_recursion_limit(mode):
 MODE_MEASURES = [
     ("basic", "hausdorff"), ("dedup", "hausdorff"), ("opt", "hausdorff"),
     ("basic", "frechet"), ("basic", "dtw"),
+    ("basic", "erp"), ("basic", "edr"), ("basic", "lcss"),
 ]
 
 
 def build_like_repose(data, mode, measure):
     """Build as ``ReposePack`` does: pivots, D_max and collapsing per spec."""
-    spec = resolve_measure(measure)
+    spec = resolve_measure(measure, **MEASURE_PARAMS[measure])
     pivots = [data[10], data[20], data[30]] if spec.is_metric else []
     trie = RPTrie(
         GRID, spec.fn, pivots,
@@ -362,61 +352,136 @@ def test_build_decodes_z_values_in_whole_trie_passes(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode,measure", MODE_MEASURES)
 def test_frozen_chain_geometry_matches_z_values(data, mode, measure):
-    """Each chain's reference points and rects are exactly the grid
-    geometry of the z-values on its nodes, as are each node's own."""
+    """Each chain's z-values, reference points and rects are exactly the
+    z-values of the build nodes on its run and their grid geometry."""
     trie, _ = build_like_repose(data, mode, measure)
-    frontier = [trie.root]
-    while frontier:
-        n = frontier.pop()
-        for head in n.child_nodes:
-            chain = [head]
-            while chain[-1] is not head.chain_end:
-                chain.append(chain[-1].child_nodes[0])
-            zs = np.array([c.z for c in chain], dtype=np.int64)
-            np.testing.assert_array_equal(head.chain_zs, zs)
-            np.testing.assert_array_equal(head.chain_refpts, GRID.refpoints_of_z(zs))
-            np.testing.assert_array_equal(head.chain_rects, GRID.cell_rects_of_z(zs))
-            for c, p, r in zip(chain, head.chain_refpts, head.chain_rects):
-                np.testing.assert_array_equal(c.refpoint, p)
-                np.testing.assert_array_equal(c.rect, r)
-            frontier.append(head.chain_end)
+    runs = []
+    for c, path in chain_paths(trie):
+        zs = np.array([n.z for n in path], dtype=np.int64)
+        np.testing.assert_array_equal(c.refpts, GRID.refpoints_of_z(zs))
+        np.testing.assert_array_equal(c.rects, GRID.cell_rects_of_z(zs))
+        runs.append(zs)
+    np.testing.assert_array_equal(trie.zs_flat, np.concatenate(runs))
+
+
+def widened(hr32: np.ndarray) -> np.ndarray:
+    """A float32 (min, max) HR widened by one ulp on each side."""
+    return np.stack(
+        [np.nextafter(hr32[..., 0], -np.inf), np.nextafter(hr32[..., 1], np.inf)],
+        axis=-1,
+    ).astype(np.float64)
 
 
 @pytest.mark.parametrize("mode,measure", MODE_MEASURES)
 def test_frozen_hr_equals_min_max_of_pivot_dists_below(data, mode, measure):
-    """Every node's and leaf's HR is exactly (not just within a slack)
-    the per-pivot min and max over the trajectories below it."""
+    """Each chain's stored float32 HR is exactly float32 of the per-pivot
+    min and max over the trajectories below it, the HR the search reads
+    is that widened by one ulp, and each leaf's HR is the exact min/max."""
     trie, spec = build_like_repose(data, mode, measure)
-    nodes = list(trie.iter_nodes())  # pre-order: parents before children
+    paths = chain_paths(trie)
     if not spec.is_metric:
-        assert all(n.hr is None for n in nodes)
-        assert all(n.leaf.hr is None for n in nodes if n.leaf is not None)
+        assert trie.hrs is None
+        assert all(c.hr is None for c, _ in paths)
+        assert all(c.leaf.hr is None for c, _ in paths if c.leaf is not None)
         return
     pd = {tid: pivot_dists(trie, pts, mode) for tid, pts in data.items()}
-    below: dict[int, np.ndarray] = {}
-    for n in reversed(nodes):
-        rows = [below[id(c)] for c in n.children.values()]
-        if n.leaf is not None:
-            leaf_rows = np.stack([pd[t] for t in n.leaf.tids])
+    for e, (c, path) in enumerate(paths):
+        rows = np.stack([pd[t] for t in subtree_tids(path[-1])])
+        exact = np.stack([rows.min(0), rows.max(0)], axis=-1)
+        np.testing.assert_array_equal(trie.hrs[e], exact.astype(np.float32))
+        np.testing.assert_array_equal(c.hr, widened(exact.astype(np.float32)))
+        assert (c.hr[:, 0] <= exact[:, 0]).all() and (c.hr[:, 1] >= exact[:, 1]).all()
+        if c.leaf is not None:
+            leaf_rows = np.stack([pd[t] for t in c.leaf.tids])
             np.testing.assert_array_equal(
-                n.leaf.hr,
+                c.leaf.hr,
                 np.stack([leaf_rows.min(0), leaf_rows.max(0)], axis=-1),
             )
-            rows.append(leaf_rows)
-        below[id(n)] = np.concatenate(rows)
-        np.testing.assert_array_equal(
-            n.hr, np.stack([below[id(n)].min(0), below[id(n)].max(0)], axis=-1)
+    assert sum(len(subtree_tids(c)) for c in trie.heads) == len(data)
+
+
+def assert_same_records(a, b):
+    """The two tries' chain records are equal field by field."""
+    pairs = list(zip(iter_chains(a), iter_chains(b), strict=True))
+    for x, y in pairs:
+        np.testing.assert_array_equal(x.refpts, y.refpts)
+        np.testing.assert_array_equal(x.rects, y.rects)
+        assert (x.depth, x.max_suffix, len(x.children)) == (
+            y.depth, y.max_suffix, len(y.children)
         )
-    assert len(below[id(trie.root)]) == len(data)
+        assert (x.hr is None) == (y.hr is None)
+        if x.hr is not None:
+            np.testing.assert_array_equal(x.hr, y.hr)
+        assert (x.leaf is None) == (y.leaf is None)
+        if x.leaf is not None:
+            assert (x.leaf.tids, x.leaf.dmax) == (y.leaf.tids, y.leaf.dmax)
+            assert (x.leaf.hr is None) == (y.leaf.hr is None)
+            if x.leaf.hr is not None:
+                np.testing.assert_array_equal(x.leaf.hr, y.leaf.hr)
 
 
 @pytest.mark.parametrize("mode,measure", MODE_MEASURES)
 def test_pickle_round_trip_gives_same_search_results(data, mode, measure):
+    """A restored trie searches the built trie's records: same node count,
+    same bytes when pickled again, and the same answers, which equal
+    brute force."""
     trie, spec = build_like_repose(data, mode, measure)
-    restored = pickle.loads(pickle.dumps(trie))
+    blob = pickle.dumps(trie)
+    restored = pickle.loads(blob)
+    assert pickle.dumps(restored) == blob
+    assert restored.node_count() == trie.node_count()
+    assert_same_records(trie, restored)
     for seed in range(3):
         q = rnd_query(seed)
         for k in (1, 7, len(data) + 3):
-            assert search_topk(restored, data, q, k, measure=spec) == search_topk(
-                trie, data, q, k, measure=spec
-            )
+            got = search_topk(trie, data, q, k, measure=spec)
+            assert search_topk(restored, data, q, k, measure=spec) == got
+            exp = brute_force_topk(data.items(), q, k, measure=spec)
+            if k >= len(data):
+                assert got == exp  # every trajectory, ordered by (dist, tid)
+            else:
+                assert topk_dists_equal(got, exp)  # ties may pick other tids
+
+
+def test_restored_trie_has_no_build_graph(data):
+    """Node walks and the succinct encoding need the build graph, which
+    does not pickle: on a restored trie they raise instead of counting
+    a partial trie."""
+    restored = pickle.loads(pickle.dumps(build(data, "basic")))
+    with pytest.raises(AttributeError):
+        next(restored.iter_nodes())
+    with pytest.raises(AttributeError):
+        trie_size_bytes(restored)
+
+
+def slow_walks(rng, n: int, min_len: int, max_len: int) -> dict:
+    """Random walks in the unit square with step σ = 0.02: on a coarse
+    grid consecutive points share cells, so basic-trie chains are long."""
+    out = {}
+    for i in range(n):
+        p0 = rng.random(2)
+        steps = rng.normal(0, 0.02, (int(rng.integers(min_len, max_len + 1)), 2))
+        out[i] = np.clip(p0 + np.cumsum(steps, axis=0), 0, 1)
+    return out
+
+
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.25])
+@pytest.mark.parametrize("eps", [0.02, 0.05, 0.1])
+def test_lcss_restored_trie_equals_brute_force_on_long_chains(delta, eps):
+    """LCSS is the bound that reads a node's depth, through min(m, depth);
+    queries longer than the trajectories keep that term equal to the
+    depth. Chain-interior depths derived on a restored trie must be the
+    true ones, else the bound overshoots and prunes true neighbours."""
+    rng = np.random.default_rng(0)
+    grid = Grid.from_bounds(0, 0, 1, 1, delta=delta)
+    spec = resolve_measure("lcss", eps=eps)
+    for _ in range(5):
+        data = slow_walks(rng, 20, 5, 20)
+        trie = RPTrie(grid, spec.fn, need_dmax=False)
+        trie.build(list(data.items()), mode="basic")
+        restored = pickle.loads(pickle.dumps(trie))
+        for q in slow_walks(rng, 5, 25, 40).values():
+            for k in (1, 3, 5):
+                got = search_topk(restored, data, q, k, measure=spec)
+                exp = brute_force_topk(data.items(), q, k, measure=spec)
+                assert topk_dists_equal(got, exp)

@@ -40,3 +40,45 @@ def topk_dists_equal(got, exp, tol=1e-9) -> bool:
     if len(got) != len(exp):
         return False
     return all(abs(g[0] - e[0]) <= tol for g, e in zip(got, exp))
+
+
+def iter_chains(trie):
+    """Every frozen ``Chain`` record of ``trie``, in the order of its chain
+    arrays (a chain's children come after it)."""
+    frontier = [trie.heads]
+    while frontier:
+        for c in frontier.pop():
+            yield c
+            frontier.append(c.children)
+
+
+def chain_paths(trie):
+    """``[(record, nodes)]`` in chain-array order: each frozen ``Chain``
+    paired with the run of build-graph nodes it stands for, found by
+    walking both structures in parallel (a record's children follow the
+    children of its last node, in the same order)."""
+    out = []
+    frontier = [(trie.root, trie.heads)]
+    while frontier:
+        node, chains = frontier.pop()
+        assert len(chains) == len(node.children)
+        for head, c in zip(node.children.values(), chains):
+            path = [head]
+            for _ in range(len(c.refpts) - 1):
+                (nxt,) = path[-1].children.values()
+                path.append(nxt)
+            out.append((c, path))
+            frontier.append((path[-1], c.children))
+    return out
+
+
+def subtree_tids(top) -> list[int]:
+    """Trajectory ids stored at or below a build ``Node`` or a ``Chain``."""
+    out, stack = [], [top]
+    while stack:
+        n = stack.pop()
+        if n.leaf is not None:
+            out.extend(n.leaf.tids)
+        kids = n.children
+        stack.extend(kids.values() if isinstance(kids, dict) else kids)
+    return out
